@@ -24,11 +24,18 @@ range R0); for our flat 2-D geometry that *is* a Cartesian ground grid
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.perf import memoize
 from repro.sar.config import RadarConfig
 from repro.sar.grids import CartesianGrid, CartesianImage
-from repro.signal.interpolation import cubic_neville_rows
+from repro.signal.interpolation import (
+    CubicStencil,
+    apply_cubic_stencil,
+    cubic_stencil,
+)
 
 
 def azimuth_wavenumbers(cfg: RadarConfig) -> np.ndarray:
@@ -47,6 +54,65 @@ def migration_factor(cfg: RadarConfig, kx: np.ndarray) -> np.ndarray:
     """
     ratio = kx / (2.0 * cfg.wavenumber)
     return np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0))
+
+
+@dataclass(frozen=True)
+class RdaTables:
+    """The data-independent half of :func:`range_doppler_image`.
+
+    Everything here depends on the radar configuration alone, so it is
+    memoized per ``cfg`` (:func:`rda_tables`); only the FFTs, the RCMC
+    gather and the phase multiply touch the data.
+    """
+
+    live: np.ndarray
+    """``(P,)``: azimuth lines inside the evanescent / grating cut-off."""
+    rows: np.ndarray
+    """Indices of the live lines."""
+    rcmc: CubicStencil | None
+    """Cubic stencil resampling each live line at ``R0 / beta``
+    (``None`` below the 4 range bins a cubic stencil needs)."""
+    phase: np.ndarray
+    """``(P, J)`` azimuth-compression phase."""
+
+
+def _build_rda_tables(cfg: RadarConfig) -> RdaTables:
+    k2 = 2.0 * cfg.wavenumber
+    kx = azimuth_wavenumbers(cfg)  # (P,)
+    beta = migration_factor(cfg, kx)  # (P,)
+    live = beta > 0.05  # evanescent / grating cut-off
+    rows = np.nonzero(live)[0]
+    r_axis = cfg.range_axis()
+    # RCMC: line kx needs the sample at r_obs = R0 / beta for output
+    # bin R0.
+    r_src = r_axis / beta[rows, None]  # (n_live, J) source ranges
+    positions = (r_src - cfg.r0) / cfg.dr
+    # Azimuth compression.  By stationary phase, after RCMC the line
+    # (kx, R0) carries
+    #     exp(j (2 k R0 / beta  -  kx x_t  -  2 k beta R0))
+    # (the first term is the data-side carrier sampled at the migrated
+    # source position R0/beta, the last the hyperbolic phase history).
+    # The matched filter cancels everything but the target-position
+    # ramp -kx x_t:
+    safe_beta = np.where(live, beta, 1.0)
+    phase = np.exp(
+        1j * k2 * np.outer(safe_beta - 1.0 / safe_beta, r_axis)
+    )  # (P, J)
+    return RdaTables(
+        live=live,
+        rows=rows,
+        rcmc=(
+            cubic_stencil(positions, rows.size, cfg.n_ranges)
+            if cfg.n_ranges >= 4
+            else None
+        ),
+        phase=phase,
+    )
+
+
+def rda_tables(cfg: RadarConfig) -> RdaTables:
+    """The memoized :class:`RdaTables` for ``cfg`` (frozen arrays)."""
+    return memoize("sar/rda-tables", cfg, lambda: _build_rda_tables(cfg))
 
 
 def range_doppler_image(
@@ -77,47 +143,36 @@ def range_doppler_image(
         raise ValueError(
             f"data shape {data.shape} != ({cfg.n_pulses}, {cfg.n_ranges})"
         )
-    k2 = 2.0 * cfg.wavenumber
-    kx = azimuth_wavenumbers(cfg)  # (P,)
-    beta = migration_factor(cfg, kx)  # (P,)
-    live = beta > 0.05  # evanescent / grating cut-off
+    tables = rda_tables(cfg)
+    live = tables.live[:, None]
 
     # 1. Azimuth FFT: range lines become range-Doppler lines.
     rd = np.fft.fft(data, axis=0)
 
-    # 2. RCMC: straighten the migration curves.  Line kx needs the
-    #    sample at r_obs = R0 / beta for output bin R0.
-    r_axis = cfg.range_axis()
+    # 2. RCMC: straighten the migration curves.
     if rcmc:
         straightened = np.zeros_like(rd)
-        rows = np.nonzero(live)[0]
-        if rows.size:
-            r_src = r_axis / beta[rows, None]  # (n_live, J) source ranges
-            positions = (r_src - cfg.r0) / cfg.dr
-            straightened[rows] = cubic_neville_rows(rd[rows], positions)
+        if tables.rows.size:
+            if tables.rcmc is None:
+                raise ValueError(
+                    f"RCMC needs >= 4 range bins, got {cfg.n_ranges}"
+                )
+            straightened[tables.rows] = apply_cubic_stencil(
+                rd[tables.rows], tables.rcmc
+            )
         rd = straightened
     else:
-        rd = np.where(live[:, None], rd, 0.0)
+        rd = np.where(live, rd, 0.0)
 
-    # 3. Azimuth compression.  By stationary phase, after RCMC the
-    #    line (kx, R0) carries
-    #        exp(j (2 k R0 / beta  -  kx x_t  -  2 k beta R0))
-    #    (the first term is the data-side carrier sampled at the
-    #    migrated source position R0/beta, the last the hyperbolic
-    #    phase history).  The matched filter cancels everything but
-    #    the target-position ramp -kx x_t:
-    safe_beta = np.where(live, beta, 1.0)
-    phase = np.exp(
-        1j * k2 * np.outer(safe_beta - 1.0 / safe_beta, r_axis)
-    )  # (P, J)
-    rd = np.where(live[:, None], rd * phase, 0.0)
+    # 3. Azimuth compression (phase derived in _build_rda_tables).
+    rd = np.where(live, rd * tables.phase, 0.0)
 
     # 4. Back to azimuth position.
     image = np.fft.ifft(rd, axis=0)
 
     grid = CartesianGrid(
         x=cfg.trajectory().positions(cfg.n_pulses)[:, 0],
-        y=r_axis,
+        y=cfg.range_axis(),
     )
     # CartesianImage is row-major in y (range); transpose from (x, r).
     return CartesianImage(grid=grid, data=image.T)

@@ -14,6 +14,13 @@ an equivalent stimulus two ways:
   :class:`~repro.signal.pulse_compression.MatchedFilter`.  An
   integration test checks the two paths agree.
 
+The noise-free part of :func:`simulate_compressed` depends only on
+``(cfg, scene, trajectory, antenna)``, so it is built once per such
+tuple and memoized through :func:`repro.perf.memoize` (kind
+``"sar/clean-echo"``); each call adds its own seeded noise on top.
+Served images and fixed-scene sweeps therefore pay the per-target
+accumulation once per grid.
+
 Signal convention (see :mod:`repro.sar.config`): a target at range
 ``R`` contributes ``A * env(r - R) * exp(j 2 k_c (r - R))`` to the
 range profile, i.e. the carrier is retained in the range variable.
@@ -25,6 +32,7 @@ import numpy as np
 
 from repro.geometry.scene import Scene
 from repro.geometry.trajectory import Trajectory
+from repro.perf import memoize
 from repro.sar.config import RadarConfig
 from repro.signal.chirp import C0
 from repro.signal.pulse_compression import MatchedFilter
@@ -96,6 +104,33 @@ def simulate_compressed(
         independent draws must pass independent seeds (derive them
         with :func:`repro.exec.derive_seed`).
     """
+    clean = memoize(
+        "sar/clean-echo",
+        (cfg, scene, trajectory, antenna),
+        lambda: _clean_echo(cfg, scene, trajectory, antenna),
+    )
+    data = clean
+    if noise_sigma > 0.0:
+        gen = (
+            seed
+            if isinstance(seed, np.random.Generator)
+            else np.random.default_rng(seed)
+        )
+        # Out of place: a memoized ``clean`` is frozen and shared.
+        data = clean + noise_sigma * (
+            gen.standard_normal(clean.shape)
+            + 1j * gen.standard_normal(clean.shape)
+        )
+    return data.astype(dtype)
+
+
+def _clean_echo(
+    cfg: RadarConfig,
+    scene: Scene,
+    trajectory: Trajectory | None,
+    antenna: "Antenna | None",
+) -> np.ndarray:
+    """Noise-free complex128 echo matrix of :func:`simulate_compressed`."""
     ranges = target_ranges(cfg, scene, trajectory)  # (P, T)
     amps = scene.amplitudes()  # (T,)
     r_axis = cfg.range_axis()  # (J,)
@@ -116,17 +151,7 @@ def simulate_compressed(
         if gains is not None:
             echo = echo * gains[:, t, None]
         data += echo
-    if noise_sigma > 0.0:
-        gen = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
-        data += noise_sigma * (
-            gen.standard_normal(data.shape)
-            + 1j * gen.standard_normal(data.shape)
-        )
-    return data.astype(dtype)
+    return data
 
 
 def simulate_raw(

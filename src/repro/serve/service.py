@@ -336,10 +336,26 @@ class ImageService:
         lock = asyncio.Lock()
         conn_tasks: set[asyncio.Task] = set()
 
-        async def send(obj: dict) -> None:
+        async def send(obj: dict) -> bool:
+            """Write ``obj``; ``False`` if it went out as an error instead.
+
+            A reply over ``max_frame_bytes`` still answers its request:
+            the client gets a structured ``oversized`` error under the
+            same id rather than no terminal frame at all."""
+            sent = True
+            try:
+                frame = encode_frame(obj, self.settings.max_frame_bytes)
+            except ProtocolError as exc:
+                self._mark_error()
+                sent = False
+                frame = encode_frame(
+                    error_response(obj.get("id"), exc.code, exc.detail),
+                    self.settings.max_frame_bytes,
+                )
             async with lock:
-                writer.write(encode_frame(obj, self.settings.max_frame_bytes))
+                writer.write(frame)
                 await writer.drain()
+            return sent
 
         try:
             while True:
@@ -563,8 +579,11 @@ class ImageService:
                 err = value.get("error") if isinstance(value, dict) else None
                 if err is None:
                     self._breaker_record(spec, verdict, ok=True)
-                    self._mark_served()
                     response = dict(value)
+                    if cached:
+                        # The stored value carries the compute time of
+                        # the cold run that filled the cache.
+                        response.pop("compute_ms", None)
                     response.update(
                         id=request.id,
                         type="result",
@@ -576,7 +595,8 @@ class ImageService:
                         response.update(
                             degraded=True, degraded_to=effective.backend
                         )
-                    await send(response)
+                    if await send(response):
+                        self._mark_served()
                     return
                 # A contained fault (stall blame, injected fault) from
                 # the profile path: retryable -- the work is pure and
@@ -660,14 +680,15 @@ class ImageService:
         t0 = time.perf_counter()
         deadline = self._deadline_of(request)
 
-        async def forward() -> dict:
+        async def forward() -> dict | None:
             while True:
                 frame = await frames.get()
                 if frame is _DONE:
                     break
                 partial = dict(frame)
                 partial.update(id=request.id, type="partial")
-                await send(partial)
+                if not await send(partial):
+                    return None  # already answered with an error
             return await job
 
         try:
@@ -688,7 +709,8 @@ class ImageService:
             self._mark_error()
             await send(error_response(request.id, "internal", str(exc)))
             return
-        self._mark_served()
+        if value is None:
+            return
         response = dict(value)
         response.update(
             id=request.id,
@@ -696,7 +718,8 @@ class ImageService:
             cached=False,
             elapsed_ms=round((time.perf_counter() - t0) * 1e3, 3),
         )
-        await send(response)
+        if await send(response):
+            self._mark_served()
 
     # -- batching ---------------------------------------------------------
 

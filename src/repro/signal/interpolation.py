@@ -15,6 +15,8 @@ accept real or complex sample arrays.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -180,6 +182,64 @@ def cubic_neville(samples: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return np.where(valid, out, np.zeros((), dtype=out.dtype))
 
 
+@dataclass(frozen=True)
+class CubicStencil:
+    """Sample-independent half of a row-batched cubic interpolation.
+
+    Built once by :func:`cubic_stencil` from the evaluation positions
+    alone, so a caller resampling many sample arrays along the same
+    paths (RDA's RCMC on a fixed grid) can keep it and pay only the
+    gather and the 4-tap sum per call (:func:`apply_cubic_stencil`).
+    """
+
+    shape: tuple[int, int]
+    """``(rows, n)`` of the sample arrays the stencil applies to."""
+    index: np.ndarray
+    """``(rows, n_pos, 4)`` flat indices into the row-major samples of
+    the clamped stencils ``[i-1 .. i+2]``."""
+    weights: np.ndarray
+    """``(rows, n_pos, 4)`` Neville weights (:func:`neville_weights`)."""
+    valid: np.ndarray
+    """``(rows, n_pos)``: position inside ``[0, n-1]``."""
+
+
+def cubic_stencil(positions: np.ndarray, rows: int, n: int) -> CubicStencil:
+    """Stencil tables for :func:`cubic_neville_rows` over ``(rows, n)``.
+
+    ``positions`` is ``(n_pos,)`` (one path for every row) or
+    ``(rows, n_pos)`` (a path per row).
+    """
+    if n < 4:
+        raise ValueError(f"cubic interpolation needs >= 4 samples, got {n}")
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim == 1:
+        positions = np.broadcast_to(positions, (rows, positions.shape[0]))
+    if positions.ndim != 2 or positions.shape[0] != rows:
+        raise ValueError(
+            f"positions shape {positions.shape} does not match {rows} rows"
+        )
+    i0 = np.floor(positions).astype(np.int64)
+    i0c = np.clip(i0, 1, n - 3)
+    row_start = n * np.arange(rows, dtype=np.int64)[:, None]
+    return CubicStencil(
+        shape=(rows, n),
+        index=(row_start + i0c)[..., None] + np.arange(-1, 3),
+        weights=neville_weights(positions - i0c),
+        valid=(positions >= 0.0) & (positions <= n - 1),
+    )
+
+
+def apply_cubic_stencil(samples: np.ndarray, stencil: CubicStencil) -> np.ndarray:
+    """Interpolate the rows of ``samples`` through prebuilt ``stencil``."""
+    if samples.shape != stencil.shape:
+        raise ValueError(
+            f"samples shape {samples.shape} != stencil shape {stencil.shape}"
+        )
+    vals = samples.reshape(-1)[stencil.index]
+    out = np.einsum("...k,...k->...", stencil.weights, vals)
+    return np.where(stencil.valid, out, np.zeros((), dtype=out.dtype))
+
+
 def cubic_neville_rows(
     samples: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
@@ -192,29 +252,13 @@ def cubic_neville_rows(
     RCMC shifts).  Replaces the per-row Python loops that used to
     dominate ``resample_range``/``shift_stage_data``/RCMC; each output
     element is the same 4-tap weighted sum the scalar-row kernel
-    computes, so results are bit-identical.
+    computes, so results are bit-identical.  The work splits into
+    :func:`cubic_stencil` (positions only) and
+    :func:`apply_cubic_stencil` (the samples).
     """
     samples = np.asarray(samples)
     if samples.ndim != 2:
         raise ValueError(
             f"cubic_neville_rows needs (rows, n) samples, got {samples.shape}"
         )
-    rows, n = samples.shape
-    if n < 4:
-        raise ValueError(f"cubic interpolation needs >= 4 samples, got {n}")
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim == 1:
-        positions = np.broadcast_to(positions, (rows, positions.shape[0]))
-    if positions.ndim != 2 or positions.shape[0] != rows:
-        raise ValueError(
-            f"positions shape {positions.shape} does not match {rows} rows"
-        )
-    i0 = np.floor(positions).astype(np.int64)
-    i0c = np.clip(i0, 1, n - 3)
-    t = positions - i0c
-    w = neville_weights(t)  # (rows, n_pos, 4)
-    stencil = i0c[..., None] + np.arange(-1, 3)  # (rows, n_pos, 4)
-    vals = samples[np.arange(rows)[:, None, None], stencil]
-    out = np.einsum("...k,...k->...", w, vals)
-    valid = (positions >= 0.0) & (positions <= n - 1)
-    return np.where(valid, out, np.zeros((), dtype=out.dtype))
+    return apply_cubic_stencil(samples, cubic_stencil(positions, *samples.shape))

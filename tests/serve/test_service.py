@@ -103,6 +103,18 @@ class TestImagePath:
         assert health["cache"]["hits"] >= 1
         assert health["cache"]["stores"] >= 1
 
+    def test_cached_reply_carries_no_stale_compute_ms(self):
+        async def scenario(service):
+            cold, _ = await one_shot(service, {**IMG, "id": "cold"})
+            warm, _ = await one_shot(service, {**IMG, "id": "warm"})
+            return cold, warm
+
+        cold, warm = service_test(scenario)
+        assert cold["cached"] is False
+        assert cold["compute_ms"] > 0
+        assert warm["cached"] is True
+        assert "compute_ms" not in warm
+
     def test_no_cache_mode_never_reports_cached(self):
         async def scenario(service):
             await one_shot(service, {**IMG, "id": "a"})
@@ -213,6 +225,55 @@ class TestContainment:
         err, ok = service_test(scenario, max_frame_bytes=2048)
         assert err["code"] == "oversized"
         assert ok["type"] == "health"
+
+    def test_oversized_reply_is_answered_with_a_structured_error(self):
+        # A 32x33 complex64 image encodes to ~11 KiB, over a 4 KiB limit.
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                # Bounded wait: a lost reply must fail, not hang, the test.
+                err, _ = await asyncio.wait_for(
+                    send_recv(reader, writer, {**IMG, "id": "big"}), 60.0
+                )
+                ok, _ = await send_recv(reader, writer, {"kind": "health", "id": "h"})
+                return err, ok
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        err, ok = service_test(scenario, max_frame_bytes=4096)
+        assert err["type"] == "error"
+        assert err["id"] == "big"
+        assert err["code"] == "oversized"
+        assert ok["type"] == "health"
+        assert ok["errors"] == 1
+        assert ok["served"] == 0
+
+    def test_oversized_partial_ends_the_stream_with_one_error(self):
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                streamed = {**IMG, "id": "st", "stream": True, "stream_data": True}
+                err, partials = await asyncio.wait_for(
+                    send_recv(reader, writer, streamed), 60.0
+                )
+                # The next frame on the connection answers the health
+                # request: nothing more arrives for the cut stream.
+                ok, stray = await send_recv(
+                    reader, writer, {"kind": "health", "id": "h"}
+                )
+                return err, partials, ok, stray
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        err, partials, ok, stray = service_test(scenario, max_frame_bytes=4096)
+        assert err["type"] == "error"
+        assert err["id"] == "st"
+        assert err["code"] == "oversized"
+        assert all(p["id"] == "st" for p in partials)
+        assert ok["type"] == "health"
+        assert stray == []
 
     def test_unknown_backend_is_a_structured_error(self):
         async def scenario(service):

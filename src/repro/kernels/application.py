@@ -89,6 +89,7 @@ def _merge_stage_kernel(stage: StagePlan, n_cores: int):
         yield from ctx.dma_wait(token)
         yield from ctx.barrier()
 
+    kernel.__replay_fp__ = ("merge-stage", stage, n_cores)
     return kernel
 
 
@@ -148,9 +149,8 @@ def run_focused_image(
                 )
             )
         before = machine.now
-        machine.run(
-            {c: _merge_stage_kernel(stage, n_cores) for c in range(n_cores)}
-        )
+        kernel = _merge_stage_kernel(stage, n_cores)
+        machine.run({c: kernel for c in range(n_cores)})
         phases.append(
             PhaseReport(
                 level=level,

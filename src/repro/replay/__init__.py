@@ -1,19 +1,16 @@
 """Trace-compiled replay tier for the cycle-accurate event backend.
 
 ``replay(event:e16)`` runs the event engine once per *(pre-run chip
-state, programs, max_cycles)* equivalence class, captures the resolved
-schedule into a :class:`~repro.replay.schedule.CompiledSchedule`, and
-replays it on later runs -- byte-identical cycles, traces, golden
-fingerprints and energy, at a fraction of the wall clock (see
-docs/architecture.md §16 and the ``replay`` section of the verify
-gate).
+state, declared program keys, max_cycles)* equivalence class, captures
+the resolved schedule into a
+:class:`~repro.replay.schedule.CompiledSchedule`, and replays it on
+later runs -- byte-identical cycles, traces, golden fingerprints and
+energy, at a fraction of the wall clock (see docs/architecture.md §16
+and the ``replay`` section of the verify gate).  A program's key is
+the ``__replay_fp__`` attribute its kernel builder sets; a program
+without one always runs cold.
 """
 
-from repro.replay.fingerprint import (
-    UNCACHEABLE,
-    fingerprint_programs,
-    fingerprint_value,
-)
 from repro.replay.machine import ReplayMachine
 from repro.replay.schedule import (
     SCHEMA_VERSION,
@@ -26,9 +23,6 @@ from repro.replay.schedule import (
 )
 
 __all__ = [
-    "UNCACHEABLE",
-    "fingerprint_programs",
-    "fingerprint_value",
     "ReplayMachine",
     "SCHEMA_VERSION",
     "ChipState",

@@ -17,7 +17,14 @@ key embeds :func:`~repro.exec.cache.code_version` -- any source edit
 invalidates every captured schedule at once.  The memo payload key is
 the schema version, the canonical spec string *and* the full spec
 dataclass, the pre-run :class:`~repro.replay.schedule.ChipState`, the
-structural program fingerprint and ``max_cycles``.
+programs' declared keys and ``max_cycles``.
+
+Declared keys: a kernel builder attaches ``__replay_fp__`` to the
+program function it returns -- a tag naming the builder plus every
+value the generator reads besides its source code (a plan, a core
+count, an interpolation mode).  The source itself is covered by
+``code_version``.  The byte-identity oracles of the verify gate are the
+backstop for an incomplete declaration.
 
 Safety valves (all observable through :meth:`stats`):
 
@@ -25,11 +32,10 @@ Safety valves (all observable through :meth:`stats`):
   pass-through -- ``bypassed`` counts those runs;
 - pending engine events or live processes at run entry (a stalled
   prior phase, an un-drained ``set_flag_at`` landing) bypass capture;
-- a program set that cannot be soundly fingerprinted (live generator,
-  opaque object, a :class:`~repro.faults.plan.FaultPlan` carrying
-  clauses anywhere in its closures) runs cold and caches nothing --
-  ``uncacheable`` counts them.  This is what guarantees any
-  ``faulty(...)`` wrapper or chaos clause misses the cache;
+- a program without a declared key runs cold and caches nothing --
+  ``uncacheable`` counts them.  The ``faulty(...)`` wrapper's per-core
+  closures declare no key, so a fault-injected run never reaches the
+  cache;
 - a run that stalls (exhausts ``max_cycles``) is remembered as an
   *always-cold* class via the invalid-schedule sentinel.
 
@@ -53,6 +59,29 @@ from repro.replay.schedule import (
 )
 
 __all__ = ["ReplayMachine"]
+
+
+def _declared_keys(programs: Programs) -> Any:
+    """The programs' declared replay keys, or ``None`` if any lacks one.
+
+    Each distinct program object is listed once, by identity, plus a
+    core -> program-index map: an SPMD kernel mapped onto sixteen cores
+    is digested once, not sixteen times.
+    """
+    index: dict[int, int] = {}
+    keys: list[Any] = []
+    cores: list[tuple[int, int]] = []
+    for core in sorted(programs):
+        program = programs[core]
+        i = index.get(id(program))
+        if i is None:
+            key = getattr(program, "__replay_fp__", None)
+            if key is None:
+                return None
+            i = index[id(program)] = len(keys)
+            keys.append(key)
+        cores.append((core, i))
+    return tuple(keys), tuple(cores)
 
 
 class ReplayMachine:
@@ -147,10 +176,8 @@ class ReplayMachine:
             # class we can key.
             self.bypassed += 1
             return self._cold(programs, max_cycles)
-        from repro.replay.fingerprint import UNCACHEABLE, fingerprint_programs
-
-        fingerprint = fingerprint_programs(programs)
-        if fingerprint is UNCACHEABLE:
+        keys = _declared_keys(programs)
+        if keys is None:
             self.uncacheable += 1
             return self._cold(programs, max_cycles)
         spec = inner.spec
@@ -158,9 +185,8 @@ class ReplayMachine:
             "schema": SCHEMA_VERSION,
             "spec_str": f"{spec.mesh_rows}x{spec.mesh_cols}@{spec.clock_hz:g}",
             "spec": spec,
-            "plan": "",  # fault plans never reach the cacheable path
             "pre": snapshot_chip(inner),
-            "programs": fingerprint,
+            "programs": keys,
             "max_cycles": max_cycles,
             "recorder": inner.recorder is not None,
         }

@@ -173,194 +173,6 @@ def remap_placement(
     return Placement(placement.graph, coords, rows, cols), moved
 
 
-@dataclass(frozen=True)
-class FabricPlacement:
-    """An assignment of tasks to (chip, row, col) cells of a fabric.
-
-    The multi-chip analogue of :class:`Placement`: distances within a
-    chip are mesh hops; distances across chips add the e-link penalty
-    (``link_penalty`` hop-equivalents per chip boundary crossed -- by
-    convention the :attr:`~repro.machine.specs.ChipLinkSpec.
-    latency_cycles` of the fabric, since one mesh hop is one cycle).
-    Built directly or via :func:`fabric_linear_place` from a
-    :class:`~repro.machine.specs.FabricSpec`-shaped object.
-    """
-
-    graph: TaskGraph
-    coords: dict[str, tuple[int, int, int]]
-    n_chips: int
-    mesh_rows: int
-    mesh_cols: int
-    link_penalty: float = 64.0
-
-    def __post_init__(self) -> None:
-        missing = set(self.graph.tasks) - set(self.coords)
-        if missing:
-            raise ValueError(f"unplaced tasks: {sorted(missing)}")
-        seen: dict[tuple[int, int, int], str] = {}
-        for t, cell in self.coords.items():
-            f, r, c = cell
-            if not (
-                0 <= f < self.n_chips
-                and 0 <= r < self.mesh_rows
-                and 0 <= c < self.mesh_cols
-            ):
-                raise ValueError(f"task {t} placed off-fabric at {cell}")
-            if cell in seen:
-                raise ValueError(
-                    f"tasks {seen[cell]} and {t} share core {cell}"
-                )
-            seen[cell] = t
-
-    @property
-    def cores_per_chip(self) -> int:
-        return self.mesh_rows * self.mesh_cols
-
-    def global_core(self, task: str) -> int:
-        """Fabric-global core id (the FabricSpec addressing bijection)."""
-        f, r, c = self.coords[task]
-        return f * self.cores_per_chip + r * self.mesh_cols + c
-
-    def cell_of(self, global_core: int) -> tuple[int, int, int]:
-        f, local = divmod(global_core, self.cores_per_chip)
-        r, c = divmod(local, self.mesh_cols)
-        return f, r, c
-
-    def _cell_hops(
-        self, a: tuple[int, int, int], b: tuple[int, int, int]
-    ) -> float:
-        fa, ra, ca = a
-        fb, rb, cb = b
-        if fa == fb:
-            return abs(ra - rb) + abs(ca - cb)
-        elink = (0, self.mesh_cols - 1)  # each chip's e-link node
-        return (
-            abs(ra - elink[0]) + abs(ca - elink[1])
-            + abs(fa - fb) * self.link_penalty
-            + abs(elink[0] - rb) + abs(elink[1] - cb)
-        )
-
-    def hops(self, a: str, b: str) -> float:
-        """Hop-equivalent distance between two tasks' cores."""
-        return self._cell_hops(self.coords[a], self.coords[b])
-
-    def weighted_hops(self) -> float:
-        """Traffic-weighted hop-equivalents -- lower is better.  Cross-
-        chip edges dominate through the e-link penalty, which is what
-        drives placement (and remapping) to stay chip-local."""
-        return sum(
-            w * self.hops(a, b) for (a, b), w in self.graph.edges.items()
-        )
-
-
-def fabric_linear_place(graph: TaskGraph, spec) -> FabricPlacement:
-    """Naive fabric placement: declaration order, chip-major cells.
-
-    ``spec`` is any :class:`~repro.machine.specs.FabricSpec`-shaped
-    object (``n_chips``, ``mesh_rows``, ``mesh_cols``, and a ``link``
-    with ``latency_cycles``).
-    """
-    per = spec.mesh_rows * spec.mesh_cols
-    if len(graph.tasks) > spec.n_chips * per:
-        raise ValueError("more tasks than fabric cores")
-    coords = {}
-    for i, t in enumerate(graph.tasks):
-        f, local = divmod(i, per)
-        coords[t] = (f, local // spec.mesh_cols, local % spec.mesh_cols)
-    return FabricPlacement(
-        graph=graph,
-        coords=coords,
-        n_chips=spec.n_chips,
-        mesh_rows=spec.mesh_rows,
-        mesh_cols=spec.mesh_cols,
-        link_penalty=float(spec.link.latency_cycles),
-    )
-
-
-def remap_fabric_placement(
-    placement: FabricPlacement,
-    dead_cores: tuple[int, ...] | list[int],
-) -> tuple[FabricPlacement, dict[str, tuple[int, int]]]:
-    """Re-map tasks off dead fabric cores, chip-local first.
-
-    ``dead_cores`` are fabric-global ids.  Each displaced task (graph
-    declaration order, deterministic) prefers a surviving free cell on
-    **its own chip** (minimum traffic-weighted hops, ties row-major);
-    only when its chip has no free survivor does it cross chips, where
-    the candidate cost includes the e-link penalty -- so the task lands
-    on the chip closest (in crossings) to its traffic peers.  Returns
-    the new placement plus ``{task: (old_global, new_global)}``; raises
-    :class:`~repro.faults.report.FaultReport` (kind ``"unmappable"``)
-    when no surviving free cell exists anywhere in the fabric.
-    """
-    dead = set(dead_cores)
-    if not dead:
-        return placement, {}
-    per = placement.cores_per_chip
-
-    def gid(cell: tuple[int, int, int]) -> int:
-        f, r, c = cell
-        return f * per + r * placement.mesh_cols + c
-
-    coords = dict(placement.coords)
-    occupied = set(coords.values())
-    free = [
-        (f, r, c)
-        for f in range(placement.n_chips)
-        for r in range(placement.mesh_rows)
-        for c in range(placement.mesh_cols)
-        if (f, r, c) not in occupied and gid((f, r, c)) not in dead
-    ]
-    victims = [
-        t for t in placement.graph.tasks if gid(coords[t]) in dead
-    ]
-    moved: dict[str, tuple[int, int]] = {}
-    edges = placement.graph.edges
-    for task in victims:
-        if not free:
-            from repro.faults.report import FaultReport
-
-            raise FaultReport(
-                kind="unmappable",
-                core=gid(coords[task]),
-                detail=(
-                    f"task {task!r} lost fabric core {gid(coords[task])} "
-                    f"and no surviving free core remains "
-                    f"(dead cores: {sorted(dead)})"
-                ),
-            )
-
-        def cost(cell: tuple[int, int, int], t: str = task) -> float:
-            total = 0.0
-            for (a, b), w in edges.items():
-                if a == t:
-                    peer = coords[b]
-                elif b == t:
-                    peer = coords[a]
-                else:
-                    continue
-                total += w * placement._cell_hops(cell, peer)
-            return total
-
-        home = coords[task][0]
-        local = [cell for cell in free if cell[0] == home]
-        pool = local if local else free
-        best = min(pool, key=lambda cell: (cost(cell), cell))
-        free.remove(best)
-        old = coords[task]
-        coords[task] = best
-        moved[task] = (gid(old), gid(best))
-    new = FabricPlacement(
-        graph=placement.graph,
-        coords=coords,
-        n_chips=placement.n_chips,
-        mesh_rows=placement.mesh_rows,
-        mesh_cols=placement.mesh_cols,
-        link_penalty=placement.link_penalty,
-    )
-    return new, moved
-
-
 def linear_place(
     graph: TaskGraph, mesh_rows: int, mesh_cols: int
 ) -> Placement:

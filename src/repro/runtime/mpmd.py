@@ -65,6 +65,10 @@ class Pipeline:
         self.tasks = by_name
         self.channels: dict[tuple[str, str], Channel] = {}
         payload_bytes = payload_bytes or {}
+        # Everything the channels are built from, for the replay key.
+        self._channel_key = (
+            placement, channel_capacity, payload_bytes, watchdog
+        )
         for (a, b) in placement.graph.edges:
             self.channels[(a, b)] = Channel(
                 machine,
@@ -86,18 +90,12 @@ class Pipeline:
             b: ch for (a, b), ch in self.channels.items() if a == task
         }
 
-    def run(self, max_cycles: int | None = None) -> RunResult:
-        """Spawn every task on its placed core and run to completion.
+    def programs(self) -> Programs:
+        """One program per placed core, bound to its task's channels.
 
-        Failure containment (``docs/architecture.md`` §11):
-
-        - a backend deadlock (event engine *or* analytic) is converted
-          into a :class:`~repro.faults.report.DeadlockReport` carrying
-          the per-channel wait states at the deadlock cycle, instead of
-          surfacing as a bare engine error;
-        - a run cut short by ``max_cycles`` returns with
-          ``stalled=True`` and the pending channel waits in
-          ``wait_states`` -- it never exhausts the budget silently.
+        A task program that declares a replay key (``__replay_fp__``)
+        yields a per-core program declaring one too; see
+        :mod:`repro.replay.machine`.
         """
         programs: Programs = {}
         for name, task in self.tasks.items():
@@ -111,7 +109,30 @@ class Pipeline:
 
                 return kernel
 
-            programs[core] = make(task.program, ins, outs)
+            kernel = make(task.program, ins, outs)
+            task_key = getattr(task.program, "__replay_fp__", None)
+            if task_key is not None:
+                # Channel state is not keyed: ``__init__`` builds the
+                # channels from ``_channel_key`` and a completed run
+                # leaves them drained.
+                kernel.__replay_fp__ = (task_key, name, *self._channel_key)
+            programs[core] = kernel
+        return programs
+
+    def run(self, max_cycles: int | None = None) -> RunResult:
+        """Spawn every task on its placed core and run to completion.
+
+        Failure containment (``docs/architecture.md`` §11):
+
+        - a backend deadlock (event engine *or* analytic) is converted
+          into a :class:`~repro.faults.report.DeadlockReport` carrying
+          the per-channel wait states at the deadlock cycle, instead of
+          surfacing as a bare engine error;
+        - a run cut short by ``max_cycles`` returns with
+          ``stalled=True`` and the pending channel waits in
+          ``wait_states`` -- it never exhausts the budget silently.
+        """
+        programs = self.programs()
         try:
             result = self.machine.run(programs, max_cycles=max_cycles)
         except CONTAINED_FAILURES:

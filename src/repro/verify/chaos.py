@@ -78,11 +78,11 @@ CHAOS_BACKENDS = ("event", "analytic", "replay")
 """Backends every chaos case runs against.
 
 ``replay`` rides the same cases as ``event``: the fault wrapper's
-closures carry the plan, so the replay fingerprint refuses to cache
-them and every injected run executes cold -- chaos coverage here is
-the end-to-end proof of that must-miss contract (the fault-free
-parity runs may legitimately replay: they are byte-identical by the
-gate's own replay section)."""
+per-core closures declare no replay key, so every injected run is
+``uncacheable`` and executes cold.  Each case checks that must-miss
+contract on the replay stats (``.replay-miss``: no capture, no
+replay); the fault-free parity runs may legitimately replay, since
+the gate's own replay section proves them byte-identical."""
 
 CHAOS_SPEC = "e16"
 
@@ -227,7 +227,21 @@ def _build_machine(
 
 
 def _execute(backend: str, case: int, plan: FaultPlan | None) -> dict:
-    """One run; returns a canonical outcome record (JSON-stable)."""
+    """One run; returns a canonical outcome record (JSON-stable).
+
+    A fault-injected replay run also records the replay tier's stats,
+    on which :func:`run_chaos_case` checks the must-miss contract.
+    """
+    chips = _case_chips(case)
+    spec = CHAOS_FABRIC_SPEC if chips > 1 else CHAOS_SPEC
+    machine = _build_machine(backend, plan, spec)
+    record = _outcome(machine, case, chips)
+    if backend == "replay" and plan is not None:
+        record["replay"] = machine.inner.stats()
+    return record
+
+
+def _outcome(machine: object, case: int, chips: int) -> dict:
     from repro.kernels.autofocus_mpmd import build_pipeline, paper_placement
     from repro.kernels.ffbp_common import plan_ffbp
     from repro.kernels.ffbp_fabric import run_ffbp_fabric
@@ -235,9 +249,6 @@ def _execute(backend: str, case: int, plan: FaultPlan | None) -> dict:
     from repro.kernels.opcounts import AutofocusWorkload, RadarConfig
     from repro.runtime.mapping import remap_placement
 
-    chips = _case_chips(case)
-    spec = CHAOS_FABRIC_SPEC if chips > 1 else CHAOS_SPEC
-    machine = _build_machine(backend, plan, spec)
     try:
         if chips > 1:
             # Sharded fabric FFBP: per-chip SPMD phases, e-link
@@ -338,6 +349,17 @@ def run_chaos_case(backend: str, case: int, seed: int) -> list[Check]:
             ),
         )
     )
+    if "replay" in first:
+        stats = first["replay"]
+        checks.append(
+            Check(
+                name=f"{prefix}.replay-miss",
+                passed=stats["captures"] == stats["replays"] == 0,
+                actual=stats,
+                expected="captures == replays == 0",
+                note="a fault-injected run never reaches the replay cache",
+            )
+        )
     if plan.maskable:
         ok = first["kind"] == "ok"
         note = f"maskable plan {plan_text!r} must complete; got {first['kind']}"

@@ -279,10 +279,9 @@ def run_verify(
     )
 
     # -- 1c. replay conformance (trace-compiled == cold event) ----------
-    replay_workloads = ("ffbp_spmd16",) if quick else (
-        "ffbp_spmd16",
-        "autofocus_mpmd",
-    )
+    replay_workloads = ("ffbp_spmd16", "autofocus_mpmd")
+    if not quick:
+        replay_workloads += ("ffbp_seq", "autofocus_seq")
     for wl_name in replay_workloads:
         cell(
             f"replay/identity/{wl_name}",

@@ -116,18 +116,30 @@ def _identity_checks(prefix: str, ref: Any, cand: Any) -> list[Check]:
 
 
 def _run_workload(machine: Any, workload: str) -> Any:
+    """One run per kernel builder that declares a replay key: the
+    identity oracle is the backstop for those declarations."""
+    from repro.kernels.ffbp_common import plan_ffbp
+    from repro.kernels.opcounts import AutofocusWorkload
+    from repro.sar.config import RadarConfig
+
     if workload == "ffbp_spmd16":
-        from repro.kernels.ffbp_common import plan_ffbp
         from repro.kernels.ffbp_spmd import run_ffbp_spmd
-        from repro.sar.config import RadarConfig
 
         plan = plan_ffbp(RadarConfig.small(n_pulses=64, n_ranges=65))
         return run_ffbp_spmd(machine, plan, 16)
     if workload == "autofocus_mpmd":
         from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
-        from repro.kernels.opcounts import AutofocusWorkload
 
         return run_autofocus_mpmd(machine, AutofocusWorkload())
+    if workload == "ffbp_seq":
+        from repro.kernels.ffbp_seq import run_ffbp_seq_epiphany
+
+        plan = plan_ffbp(RadarConfig.small(n_pulses=32, n_ranges=33))
+        return run_ffbp_seq_epiphany(machine, plan)
+    if workload == "autofocus_seq":
+        from repro.kernels.autofocus_seq import run_autofocus_seq_epiphany
+
+        return run_autofocus_seq_epiphany(machine, AutofocusWorkload())
     raise ValueError(f"unknown replay oracle workload {workload!r}")
 
 
@@ -138,7 +150,7 @@ def replay_identity_oracle(
 
     The capture machine and the hit machine are *separate, fresh*
     ``replay(event:<spec>)`` machines: the hit must come entirely from
-    the cache (pre-state key + program fingerprint), never from state
+    the cache (pre-state key + declared program keys), never from state
     carried on the machine object.  Recorder intervals are asserted
     identical too (count and content), since the activity timeline is
     part of the replay contract.
@@ -184,7 +196,7 @@ def replay_identity_oracle(
             passed=capture_machine.stats()["uncacheable"] == 0,
             actual=capture_machine.stats(),
             expected="uncacheable == 0",
-            note="workload programs must fingerprint cleanly",
+            note="workload programs must declare replay keys",
         )
     )
 

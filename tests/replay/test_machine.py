@@ -45,6 +45,19 @@ def _short_program(ctx):
     yield Delay(10)
 
 
+# Declared keys, so these runs reach the cache (and the stalled-class
+# sentinel) instead of counting as uncacheable.
+_long_program.__replay_fp__ = ("test-long",)
+_short_program.__replay_fp__ = ("test-short",)
+
+
+def _autofocus_run(machine):
+    from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
+    from repro.kernels.opcounts import AutofocusWorkload
+
+    return run_autofocus_mpmd(machine, AutofocusWorkload(n_candidates=4))
+
+
 TRACE_FIELDS = (
     "total_flops",
     "ext_read_bytes",
@@ -111,6 +124,33 @@ class TestByteIdentity:
             assert_byte_identical(cold, cap)
             assert_byte_identical(cold, hit)
 
+    def test_phased_pipelines_replay_on_a_second_machine(self):
+        # A pipeline's channels hold the machine; its replay counters
+        # must not leak into the key, or the second phase (run after
+        # the first bumped ``captures``/``replays``) misses on the
+        # second machine.
+        def two_phase(machine):
+            return _autofocus_run(machine), _autofocus_run(machine)
+
+        cold = two_phase(get_machine("event:e16"))
+        a = get_machine("replay(event:e16)")
+        two_phase(a)
+        assert a.stats()["captures"] == 2
+        b = get_machine("replay(event:e16)")
+        hits = two_phase(b)
+        assert b.stats()["replays"] == 2
+        assert b.stats()["captures"] == 0
+        for ref, hit in zip(cold, hits):
+            assert_byte_identical(ref, hit)
+
+    def test_pipeline_key_ignores_the_machines_counters(self):
+        _autofocus_run(get_machine("replay(event:e16)"))
+        m = get_machine("replay(event:e16)")
+        m.captures, m.replays = 3, 5
+        _autofocus_run(m)
+        assert m.stats()["replays"] == 6
+        assert m.stats()["captures"] == 3
+
     def test_recorder_timeline_replays_exactly(self):
         from repro.machine.tracing import ActivityRecorder
 
@@ -154,9 +194,9 @@ class TestFallbacks:
         assert m.stats()["captures"] == 0
 
     def test_faulty_wrapping_replay_misses_the_cache(self):
-        # faulty(plan):replay(event:e16): the fault layer wraps the
-        # programs in closures that capture the plan, which the
-        # fingerprint walker must reach and refuse.
+        # faulty(plan):replay(event:e16): the fault layer wraps each
+        # declared program in a closure that declares no replay key,
+        # so the run is uncacheable and executes cold.
         cold = _spmd_run(
             get_machine("faulty(link:(0,0)->(0,1)@p=1:stall=5; seed=1):event:e16"),
             pulses=32,

@@ -116,87 +116,3 @@ class TestGreedyPlace:
         lin = linear_place(g, 4, 4)
         opt = greedy_place(g, 4, 4)
         assert opt.weighted_hops() < lin.weighted_hops()
-
-
-class TestFabricPlacement:
-    def _spec(self, n_chips=2):
-        from repro.machine.specs import EpiphanySpec, FabricSpec
-
-        return FabricSpec(chip=EpiphanySpec(), n_chips=n_chips)
-
-    def test_linear_place_fills_chip_major(self):
-        from repro.runtime.mapping import fabric_linear_place
-
-        g = chain_graph(18)
-        p = fabric_linear_place(g, self._spec())
-        assert p.coords["t0"] == (0, 0, 0)
-        assert p.coords["t15"] == (0, 3, 3)
-        assert p.coords["t16"] == (1, 0, 0)
-        assert p.global_core("t16") == 16
-
-    def test_more_tasks_than_cores_rejected(self):
-        from repro.runtime.mapping import fabric_linear_place
-
-        with pytest.raises(ValueError, match="more tasks"):
-            fabric_linear_place(chain_graph(33), self._spec())
-
-    def test_global_core_and_cell_of_biject(self):
-        from repro.runtime.mapping import fabric_linear_place
-
-        p = fabric_linear_place(chain_graph(20), self._spec())
-        for t in p.graph.tasks:
-            assert p.cell_of(p.global_core(t)) == p.coords[t]
-
-    def test_cross_chip_hops_carry_the_link_penalty(self):
-        from repro.runtime.mapping import FabricPlacement
-
-        g = chain_graph(2)
-        p = FabricPlacement(
-            g,
-            {"t0": (0, 0, 3), "t1": (1, 0, 3)},
-            n_chips=2,
-            mesh_rows=4,
-            mesh_cols=4,
-        )
-        assert p.hops("t0", "t1") >= p.link_penalty
-        local = FabricPlacement(
-            g,
-            {"t0": (0, 0, 0), "t1": (0, 3, 3)},
-            n_chips=2,
-            mesh_rows=4,
-            mesh_cols=4,
-        )
-        assert local.hops("t0", "t1") < p.hops("t0", "t1")
-
-    def test_remap_prefers_chip_local_cells(self):
-        from repro.runtime.mapping import (
-            fabric_linear_place,
-            remap_fabric_placement,
-        )
-
-        p = fabric_linear_place(chain_graph(4), self._spec())
-        new, moved = remap_fabric_placement(p, (0,))
-        assert moved["t0"][0] == 0
-        assert new.coords["t0"][0] == 0  # stays on its home chip
-
-    def test_remap_crosses_chips_when_home_chip_is_full(self):
-        from repro.runtime.mapping import (
-            fabric_linear_place,
-            remap_fabric_placement,
-        )
-
-        p = fabric_linear_place(chain_graph(16), self._spec())
-        new, moved = remap_fabric_placement(p, (0,))
-        assert new.coords["t0"][0] == 1  # chip 0 has no survivor free
-
-    def test_remap_unmappable_raises_fault_report(self):
-        from repro.faults.report import FaultReport
-        from repro.runtime.mapping import (
-            fabric_linear_place,
-            remap_fabric_placement,
-        )
-
-        p = fabric_linear_place(chain_graph(32), self._spec())
-        with pytest.raises(FaultReport) as err:
-            remap_fabric_placement(p, (0,))
-        assert err.value.kind == "unmappable"

@@ -12,9 +12,6 @@ driven without writing Python:
 - ``specs``       dump the machine models' constants,
 - ``verify``      cross-backend conformance gate (oracles, golden
   snapshots, fuzz drivers; see :mod:`repro.verify`),
-- ``bench``       machine-readable performance benchmarks (wall time,
-  cycles, peak RSS; see :mod:`repro.eval.bench`), optionally gated
-  against a committed ``BENCH_<n>.json`` baseline,
 - ``serve``       long-running async image-formation service over a
   length-prefixed JSON protocol (see :mod:`repro.serve`): batched
   scheduling, content-addressed response cache, streamed FFBP merge
@@ -314,61 +311,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
+def _serve_settings(args: argparse.Namespace):
+    from repro.serve.service import ServeSettings
 
-    from repro.eval.bench import (
-        compare_bench,
-        format_summary,
-        load_bench,
-        run_bench,
-    )
-
-    backends = tuple(
-        tok.strip() for tok in args.backends.split(",") if tok.strip()
-    )
-    fabric_backends = tuple(
-        tok.strip() for tok in args.fabric_backends.split(",") if tok.strip()
-    )
-    doc = run_bench(
-        quick=args.quick,
-        backends=backends,
-        repeats=args.repeats,
-        fabric_backends=fabric_backends,
-        replay=args.replay,
-    )
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"bench: wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    print(format_summary(doc), file=sys.stderr)
-    if args.against:
-        baseline = load_bench(args.against)
-        regressions, notes = compare_bench(doc, baseline, factor=args.factor)
-        for note in notes:
-            print(f"bench: note: {note}", file=sys.stderr)
-        if regressions:
-            for reg in regressions:
-                print(f"bench: REGRESSION: {reg}", file=sys.stderr)
-            return 1
-        print(
-            f"bench: ok vs {args.against} "
-            f"(factor {args.factor:g}, {len(notes)} notes)",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from repro.serve.service import ImageService, ServeSettings
-
-    settings = ServeSettings(
+    return ServeSettings(
         host=args.host,
         port=args.port,
         workers=args.workers,
@@ -388,6 +334,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         group_retries=args.group_retries,
         allow_chaos=args.allow_chaos,
     )
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+    import signal
+
+    from repro.serve.service import ImageService
+
+    settings = _serve_settings(args)
 
     async def _serve() -> int:
         service = ImageService(settings)
@@ -511,6 +466,11 @@ def cmd_specs(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serve.service import ServeSettings
+
+    # ``serve`` and ``load --spawn`` flags default to the settings'
+    # own field defaults, so each default has exactly one owner.
+    serve_defaults = ServeSettings()
     parser = argparse.ArgumentParser(
         prog="repro",
         description=__doc__,
@@ -689,71 +649,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_specs)
 
     p = sub.add_parser(
-        "bench",
-        help="machine-readable performance benchmarks (JSON trajectory)",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="quick-scale workloads only (the CI smoke configuration)",
-    )
-    p.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write the JSON document here instead of stdout",
-    )
-    p.add_argument(
-        "--against",
-        metavar="PATH",
-        default=None,
-        help="compare to a baseline bench JSON; exit 1 on a wall-clock "
-        "regression beyond --factor",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats per workload, best kept (default: %(default)s)",
-    )
-    p.add_argument(
-        "--factor",
-        type=float,
-        default=2.0,
-        help="regression threshold multiplier (default: %(default)s)",
-    )
-    p.add_argument(
-        "--backends",
-        default="event:e16,analytic:e16",
-        metavar="B1,B2",
-        help="comma-separated backend specs to bench (default: %(default)s)",
-    )
-    p.add_argument(
-        "--fabric-backends",
-        default="analytic:4x(8x8)",
-        metavar="F1,F2",
-        help="comma-separated fabric specs for the sharded-FFBP rows; "
-        "empty string skips them (default: %(default)s)",
-    )
-    p.add_argument(
-        "--replay",
-        action="store_true",
-        help="add trace-compiled replay(event:e16) rows: one capture "
-        "warms the compiled-schedule cache, then cache hits are timed "
-        "(speedup_vs_cold is informational, not gated)",
-    )
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
         "serve",
         help="run the async image-formation service (length-prefixed "
         "JSON protocol; see repro.serve)",
     )
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", default=serve_defaults.host)
     p.add_argument(
         "--port",
         type=int,
-        default=0,
+        default=serve_defaults.port,
         help="TCP port; 0 binds an ephemeral port (default: %(default)s)",
     )
     p.add_argument(
@@ -765,14 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=2,
+        default=serve_defaults.workers,
         metavar="N",
         help="worker threads executing request batches (default: %(default)s)",
     )
     p.add_argument(
         "--batch-window-ms",
         type=float,
-        default=5.0,
+        default=serve_defaults.batch_window_ms,
         metavar="MS",
         help="how long a request waits for batchable company "
         "(default: %(default)s)",
@@ -780,9 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-frame-bytes",
         type=int,
-        default=1 << 20,
+        default=serve_defaults.max_frame_bytes,
         metavar="N",
-        help="per-frame byte ceiling (default: 1 MiB)",
+        help="per-frame byte ceiling (default: %(default)s)",
     )
     p.add_argument(
         "--cache-dir",
@@ -808,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-inflight",
         type=int,
-        default=64,
+        default=serve_defaults.max_inflight,
         metavar="N",
         help="admission-control budget: total in-flight work requests "
         "before new ones get a structured 'overloaded' answer with a "
@@ -817,14 +721,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-conn-inflight",
         type=int,
-        default=8,
+        default=serve_defaults.max_connection_inflight,
         metavar="N",
         help="per-connection concurrency cap (default: %(default)s)",
     )
     p.add_argument(
         "--max-retries",
         type=int,
-        default=1,
+        default=serve_defaults.max_retries,
         metavar="N",
         help="serve-level retries of a request whose group fails with "
         "a contained fault or broken pool (default: %(default)s)",
@@ -832,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--retry-backoff-ms",
         type=float,
-        default=25.0,
+        default=serve_defaults.retry_backoff_ms,
         metavar="MS",
         help="base of the seeded exponential retry backoff "
         "(default: %(default)s)",
@@ -840,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--breaker-window",
         type=int,
-        default=8,
+        default=serve_defaults.breaker_window,
         metavar="N",
         help="rolling per-backend-spec outcome window of the circuit "
         "breaker (default: %(default)s)",
@@ -848,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--breaker-failures",
         type=int,
-        default=4,
+        default=serve_defaults.breaker_failures,
         metavar="N",
         help="failures in the window that trip the breaker; 0 disables "
         "degradation entirely (default: %(default)s)",
@@ -856,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--breaker-cooldown",
         type=int,
-        default=4,
+        default=serve_defaults.breaker_cooldown,
         metavar="N",
         help="degraded requests served before the breaker probes the "
         "real backend again (default: %(default)s)",
@@ -864,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--group-jobs",
         type=int,
-        default=1,
+        default=serve_defaults.group_jobs,
         metavar="N",
         help="process-pool width for request groups; 1 executes inline "
         "in the worker thread (default: %(default)s)",
@@ -872,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--group-retries",
         type=int,
-        default=0,
+        default=serve_defaults.group_retries,
         metavar="N",
         help="in-runner retries per group before the serve-level retry "
         "loop sees the failure (default: %(default)s)",
@@ -890,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive a running serve with N concurrent clients and "
         "report p50/p99 latency (repro-load/1 JSON)",
     )
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", default=serve_defaults.host)
     p.add_argument(
         "--port",
         type=int,
@@ -905,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=2,
+        default=serve_defaults.workers,
         help="worker threads of the --spawn service (default: %(default)s)",
     )
     p.add_argument("--clients", type=int, default=2, metavar="N")

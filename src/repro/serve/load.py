@@ -10,8 +10,8 @@ content-addressed response cache: the first request computes, every
 repeat must come back ``cached`` and byte-identical (the SHA-256
 digests of all responses are compared).
 
-Output is a single JSON document (schema ``repro-load/1``) so load
-runs join the committed bench trajectory as a serving dimension::
+Output is a single JSON document (schema ``repro-load/1``), so a CI
+job can gate on it and keep it as an artifact::
 
     {
       "schema": "repro-load/1",
@@ -32,7 +32,7 @@ import time
 from typing import Any
 
 from repro.faults.report import CONTAINED_CODES
-from repro.serve.protocol import encode_frame, read_frame
+from repro.serve.protocol import ProtocolError, encode_frame, read_frame
 
 LOAD_SCHEMA = "repro-load/1"
 
@@ -73,13 +73,21 @@ async def _request(reader, writer, obj: dict) -> tuple[dict, float]:
 
     ``partial`` frames (streaming merge levels) are consumed but do not
     terminate the wait; latency is measured to the ``result``/``error``
-    frame.
+    frame.  A reply the client cannot read (over the frame limit, bad
+    JSON) becomes this request's ``error`` frame carrying the protocol
+    code, since the stream is still frame-aligned; a broken stream is a
+    :class:`ConnectionError`.
     """
     t0 = time.perf_counter()
     writer.write(encode_frame(obj))
     await writer.drain()
     while True:
-        frame = await read_frame(reader)
+        try:
+            frame = await read_frame(reader)
+        except ProtocolError as exc:
+            if not exc.recoverable:
+                raise ConnectionError(str(exc)) from exc
+            frame = {"type": "error", "code": exc.code, "detail": exc.detail}
         if frame is None:
             raise ConnectionError("server closed the connection mid-request")
         if frame.get("type") in ("result", "error", "health", "ok"):

@@ -204,7 +204,7 @@ class ServeStats:
 class _Pending:
     """One batchable request waiting for its compute.
 
-    The future resolves to ``("ok", value, cached)`` or
+    The future resolves to ``("ok", value, cached, seconds)`` or
     ``("fail", kind, text)`` -- never an exception for a *task-level*
     failure, so the dispatch side can classify retryability."""
 
@@ -575,15 +575,13 @@ class ImageService:
                 await send(error_response(request.id, "internal", str(exc)))
                 return
             if outcome[0] == "ok":
-                _, value, cached = outcome
+                _, value, cached, seconds = outcome
                 err = value.get("error") if isinstance(value, dict) else None
                 if err is None:
                     self._breaker_record(spec, verdict, ok=True)
                     response = dict(value)
-                    if cached:
-                        # The stored value carries the compute time of
-                        # the cold run that filled the cache.
-                        response.pop("compute_ms", None)
+                    if not cached:
+                        response["compute_ms"] = round(seconds * 1e3, 3)
                     response.update(
                         id=request.id,
                         type="result",
@@ -668,11 +666,13 @@ class ImageService:
         def emit(frame: dict) -> None:
             loop.call_soon_threadsafe(frames.put_nowait, frame)
 
-        def run() -> dict:
+        def run() -> tuple[dict, float]:
+            t = time.perf_counter()
             try:
-                return workers.form_image_streaming(
+                value = workers.form_image_streaming(
                     request.payload(), emit, stream_data=request.stream_data
                 )
+                return value, time.perf_counter() - t
             finally:
                 loop.call_soon_threadsafe(frames.put_nowait, _DONE)
 
@@ -680,7 +680,7 @@ class ImageService:
         t0 = time.perf_counter()
         deadline = self._deadline_of(request)
 
-        async def forward() -> dict | None:
+        async def forward() -> tuple[dict, float] | None:
             while True:
                 frame = await frames.get()
                 if frame is _DONE:
@@ -692,7 +692,7 @@ class ImageService:
             return await job
 
         try:
-            value = await asyncio.wait_for(forward(), timeout=deadline)
+            done = await asyncio.wait_for(forward(), timeout=deadline)
         except asyncio.TimeoutError:
             self._mark_error()
             self.stats.deadline_misses += 1
@@ -709,13 +709,15 @@ class ImageService:
             self._mark_error()
             await send(error_response(request.id, "internal", str(exc)))
             return
-        if value is None:
+        if done is None:
             return
+        value, seconds = done
         response = dict(value)
         response.update(
             id=request.id,
             type="result",
             cached=False,
+            compute_ms=round(seconds * 1e3, 3),
             elapsed_ms=round((time.perf_counter() - t0) * 1e3, 3),
         )
         if await send(response):
@@ -798,14 +800,14 @@ class ImageService:
             for _ in range(rebuilds):
                 self._window.record("pool_rebuild")
         for (_, waiters), outcome in zip(order, outcomes):
-            value, cached, fkind, ftext = outcome
+            value, cached, seconds, fkind, ftext = outcome
             for pending in waiters:
                 if pending.future.done():
                     continue  # its client already timed out
                 if ftext is not None:
                     pending.future.set_result(("fail", fkind, ftext))
                 else:
-                    pending.future.set_result(("ok", value, cached))
+                    pending.future.set_result(("ok", value, cached, seconds))
 
     # -- health ----------------------------------------------------------
 
@@ -857,12 +859,13 @@ def _execute_group(
     cache: ResultCache | None,
     jobs: int = 1,
     retries: int = 0,
-) -> tuple[list[tuple[Any, bool, str | None, str | None]], int]:
+) -> tuple[list[tuple[Any, bool, float, str | None, str | None]], int]:
     """Run one compatible group through an :class:`ExperimentRunner`.
 
     Runs in a worker thread.  Returns ``(outcomes, pool_rebuilds)``
-    where each outcome is ``(value, cached, failure_kind,
-    failure_text)`` per payload, in order; a failure is the formatted
+    where each outcome is ``(value, cached, seconds, failure_kind,
+    failure_text)`` per payload, in order -- ``seconds`` is the task's
+    compute time (0 on a cache hit); a failure is the formatted
     :class:`~repro.exec.runner.TaskFailure` text plus its kind (the
     dispatch side retries ``broken-pool``), never an exception, so one
     bad request cannot poison its batch-mates.  With ``jobs >= 2`` the
@@ -882,10 +885,12 @@ def _execute_group(
         )
     runner = ExperimentRunner(jobs=jobs, retries=retries, cache=cache)
     results = runner.run(tasks, strict=False)
-    out: list[tuple[Any, bool, str | None, str | None]] = []
+    out: list[tuple[Any, bool, float, str | None, str | None]] = []
     for res in results:
         if res.ok:
-            out.append((res.value, res.cached, None, None))
+            out.append((res.value, res.cached, res.seconds, None, None))
         else:
-            out.append((None, False, res.failure.kind, res.failure.format()))
+            out.append(
+                (None, False, 0.0, res.failure.kind, res.failure.format())
+            )
     return out, runner.stats.pool_rebuilds

@@ -6,7 +6,9 @@ functions of their request payload so the runner's content-addressed
 :class:`~repro.exec.cache.ResultCache` can serve repeats byte-
 identically: the cache key digests the payload dict plus
 :func:`~repro.exec.cache.code_version`, so any source edit invalidates
-every cached response at once.
+every cached response at once.  Return values are content only: the
+service times each call and puts ``compute_ms`` on the reply envelope,
+never into what the cache stores.
 
 The heavy geometry inside (FFBP merge index maps, gather stencils)
 flows through :mod:`repro.perf` memoisation, so concurrent tenants
@@ -16,7 +18,6 @@ build -- the serving counterpart of the sweep-time memo win.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 from repro.faults.report import CONTAINED_FAILURES, StallError
@@ -60,7 +61,6 @@ def form_image(payload: dict) -> dict:
     from repro.sar.gbp import gbp_polar
     from repro.sar.rda import range_doppler_image
 
-    t0 = time.perf_counter()
     cfg, data = _simulate(payload)
     algorithm = payload["algorithm"]
     if algorithm == "ffbp":
@@ -80,11 +80,7 @@ def form_image(payload: dict) -> dict:
         out = gbp_polar(np.asarray(data, np.complex128), cfg).data
     else:
         out = range_doppler_image(np.asarray(data, np.complex128), cfg).data
-    return {
-        "image": encode_array(out),
-        "algorithm": algorithm,
-        "compute_ms": round((time.perf_counter() - t0) * 1e3, 3),
-    }
+    return {"image": encode_array(out), "algorithm": algorithm}
 
 
 def form_image_streaming(
@@ -103,7 +99,6 @@ def form_image_streaming(
     from repro.geometry.apertures import SubapertureTree
     from repro.sar.ffbp import FfbpOptions, ffbp_stages
 
-    t0 = time.perf_counter()
     cfg, data = _simulate(payload)
     opts = FfbpOptions(
         interpolation=payload.get("interpolation", "nearest"),
@@ -123,11 +118,7 @@ def form_image_streaming(
         if stream_data:
             frame["stage"] = encode_array(stage)
         emit(frame)
-    return {
-        "image": encode_array(stage[0]),
-        "algorithm": "ffbp",
-        "compute_ms": round((time.perf_counter() - t0) * 1e3, 3),
-    }
+    return {"image": encode_array(stage[0]), "algorithm": "ffbp"}
 
 
 def _maybe_chaos_kill(payload: dict) -> None:
@@ -171,7 +162,6 @@ def profile_kernel(payload: dict) -> dict:
     from repro.machine.backends import get_machine
 
     _maybe_chaos_kill(payload)
-    t0 = time.perf_counter()
     machine = get_machine(payload["backend"])
     try:
         if payload["kernel"] == "ffbp":
@@ -214,5 +204,4 @@ def profile_kernel(payload: dict) -> dict:
         "energy_j": float(res.energy_joules),
         "average_power_w": float(res.average_power_w),
         "stalled": bool(res.stalled),
-        "compute_ms": round((time.perf_counter() - t0) * 1e3, 3),
     }

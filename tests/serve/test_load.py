@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import struct
 
 import pytest
 
@@ -114,3 +115,58 @@ class TestRunLoad:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             asyncio.run(run_load("127.0.0.1", 1, clients=0))
+
+
+class TestUnreadableReplies:
+    def test_oversized_reply_is_an_error_record(self):
+        # A server allowed 4 MiB frames answers a 256x257 RDA image with
+        # a ~1.4 MB reply, over the client's 1 MiB limit.  The request
+        # gets an unstructured ``oversized`` record, and the run still
+        # finishes: health is read and the shutdown is sent.
+        async def main():
+            service = ImageService(
+                ServeSettings(
+                    host="127.0.0.1", port=0, batch_window_ms=1.0,
+                    max_frame_bytes=4 << 20,
+                )
+            )
+            await service.start()
+            waiter = asyncio.create_task(service.serve_until_shutdown())
+            doc = await run_load(
+                "127.0.0.1",
+                service.port,
+                clients=1,
+                requests=1,
+                payload={"pulses": 256, "ranges": 257, "algorithm": "rda"},
+                shutdown_after=True,
+            )
+            await asyncio.wait_for(waiter, timeout=10)
+            return doc
+
+        doc = asyncio.run(main())
+        assert doc["total"] == 1
+        assert doc["errors"] == 1
+        assert doc["unstructured_errors"] == 1
+        assert doc["error_detail"] == [{"id": "c0/r0", "code": "oversized"}]
+        assert doc["server"]["served"] == 1
+        assert "1 unstructured" in format_load(doc)
+
+    def test_broken_stream_is_a_connection_error(self):
+        # A reply cut off mid-frame leaves nothing to resynchronise on.
+        async def handle(reader, writer):
+            await reader.readexactly(4)
+            writer.write(struct.pack(">I", 100) + b"{}")
+            await writer.drain()
+            writer.close()
+
+        async def main():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(ConnectionError, match="truncated"):
+                    await run_load("127.0.0.1", port, clients=1, requests=1)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(main())

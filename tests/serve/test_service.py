@@ -8,6 +8,7 @@ exactly as ``repro serve`` runs them.
 
 import asyncio
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -115,6 +116,24 @@ class TestImagePath:
         assert warm["cached"] is True
         assert "compute_ms" not in warm
 
+    def test_cache_stores_content_without_timings(self, tmp_path):
+        # compute_ms rides on the reply to an uncached request; the
+        # content-addressed value on disk holds none.
+        profile = {"kind": "profile", "backend": "analytic:e16",
+                   "pulses": 32, "ranges": 33}
+
+        async def scenario(service):
+            image, _ = await one_shot(service, {**IMG, "id": "i"})
+            prof, _ = await one_shot(service, {**profile, "id": "p"})
+            return image, prof
+
+        image, prof = service_test(scenario, cache_dir=str(tmp_path))
+        assert image["compute_ms"] > 0
+        assert prof["compute_ms"] > 0
+        stored = [pickle.loads(p.read_bytes()) for p in tmp_path.rglob("*.pkl")]
+        assert len(stored) == 2
+        assert all("compute_ms" not in value for value in stored)
+
     def test_no_cache_mode_never_reports_cached(self):
         async def scenario(service):
             await one_shot(service, {**IMG, "id": "a"})
@@ -160,6 +179,7 @@ class TestStreaming:
 
         streamed, partials, batched = service_test(scenario)
         assert streamed["type"] == "result"
+        assert streamed["compute_ms"] > 0
         assert partials, "streaming produced no partial frames"
         n_levels = partials[0]["n_levels"]
         assert [p["level"] for p in partials] == list(range(n_levels + 1))

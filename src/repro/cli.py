@@ -13,8 +13,8 @@ driven without writing Python:
 - ``verify``      cross-backend conformance gate (oracles, golden
   snapshots, fuzz drivers; see :mod:`repro.verify`),
 - ``serve``       long-running async image-formation service over a
-  length-prefixed JSON protocol (see :mod:`repro.serve`): batched
-  scheduling, content-addressed response cache, streamed FFBP merge
+  length-prefixed JSON protocol (see :mod:`repro.serve`): in-flight
+  coalescing, content-addressed response cache, streamed FFBP merge
   levels, structured deadline/stall responses,
 - ``load``        load generator + latency harness against a running
   ``serve`` (p50/p99 under N concurrent clients, ``repro-load/1``
@@ -318,7 +318,6 @@ def _serve_settings(args: argparse.Namespace):
         host=args.host,
         port=args.port,
         workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
         max_frame_bytes=args.max_frame_bytes,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
@@ -349,8 +348,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await service.start()
         print(
             f"serve: listening on {settings.host}:{service.port} "
-            f"({settings.workers} workers, "
-            f"{settings.batch_window_ms:g} ms batch window)",
+            f"({settings.workers} workers, each request computed on "
+            f"arrival)",
             file=sys.stderr,
             flush=True,
         )
@@ -367,8 +366,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         s = service.stats
         print(
             f"serve: shut down cleanly -- {s.served} responses, "
-            f"{s.errors} errors, {s.batches} batches "
-            f"({s.coalesced} coalesced), {s.streams} streams",
+            f"{s.errors} errors, {s.batches} computes "
+            f"({s.coalesced} coalesced in flight), {s.streams} streams",
             file=sys.stderr,
         )
         return 0
@@ -671,15 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=serve_defaults.workers,
         metavar="N",
-        help="worker threads executing request batches (default: %(default)s)",
-    )
-    p.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=serve_defaults.batch_window_ms,
-        metavar="MS",
-        help="how long a request waits for batchable company "
-        "(default: %(default)s)",
+        help="worker threads executing requests (default: %(default)s)",
     )
     p.add_argument(
         "--max-frame-bytes",
@@ -730,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=serve_defaults.max_retries,
         metavar="N",
-        help="serve-level retries of a request whose group fails with "
+        help="serve-level retries of a request whose compute fails with "
         "a contained fault or broken pool (default: %(default)s)",
     )
     p.add_argument(
@@ -770,15 +761,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=serve_defaults.group_jobs,
         metavar="N",
-        help="process-pool width for request groups; 1 executes inline "
-        "in the worker thread (default: %(default)s)",
+        help="1 runs each compute inline in the worker thread; >= 2 runs "
+        "it in a crash-contained worker process (default: %(default)s)",
     )
     p.add_argument(
         "--group-retries",
         type=int,
         default=serve_defaults.group_retries,
         metavar="N",
-        help="in-runner retries per group before the serve-level retry "
+        help="in-runner retries per compute before the serve-level retry "
         "loop sees the failure (default: %(default)s)",
     )
     p.add_argument(

@@ -3,8 +3,9 @@
 The layer *above* the batch CLI (docs/architecture.md §14): a
 long-running asyncio server that accepts image-formation and kernel-
 profiling requests over a length-prefixed JSON protocol
-(:mod:`repro.serve.protocol`), batches compatible requests, schedules
-them onto the execution layer with the content-addressed
+(:mod:`repro.serve.protocol`), schedules each request on arrival
+onto the execution layer -- identical requests in flight share one
+compute -- with the content-addressed
 :class:`~repro.exec.cache.ResultCache` as a response cache, and
 streams partial FFBP merge levels back as they complete
 (:mod:`repro.serve.service`).  :mod:`repro.serve.load` is the paired

@@ -37,7 +37,7 @@ only keys they ignore):
   (in-flight budget or per-connection cap exhausted, or the server is
   draining for shutdown); the response carries a ``retry_after_ms``
   hint,
-- ``retries`` on batched terminal responses -- how many seeded-backoff
+- ``retries`` on non-streamed terminal responses -- how many seeded-backoff
   retries the server spent before this answer,
 - ``degraded: true`` plus ``degraded_to`` -- the circuit breaker
   tripped on the requested backend and the answer was computed on the

@@ -1,12 +1,12 @@
 """The asyncio image-formation service (``repro serve``).
 
 Layering (docs/architecture.md §14): the service is *glue, not
-physics*.  It owns sockets, framing, batching and deadlines; every
+physics*.  It owns sockets, framing, scheduling and deadlines; every
 answer it produces comes from the layers below --
 
 - **workers** (:mod:`repro.serve.workers`): pure, picklable task
   functions over the ``sar``/``kernels`` stacks,
-- **execution** (:mod:`repro.exec`): each batch runs through an
+- **execution** (:mod:`repro.exec`): each compute runs through an
   :class:`~repro.exec.runner.ExperimentRunner` whose attached
   :class:`~repro.exec.cache.ResultCache` doubles as the content-
   addressed *response cache* -- a repeated identical request is served
@@ -25,17 +25,17 @@ answer it produces comes from the layers below --
   ladder (``event:*`` onto byte-identical ``replay(event:*)``, then
   ``analytic:*``) when the real backend keeps failing.
 
-Scheduling: requests land on one queue; a batcher drains it, waits
-``batch_window_ms`` for compatible company, groups by cache payload
-(identical requests in one window *coalesce* onto a single compute)
-and dispatches each group to a worker-thread pool.  Per-request
+Scheduling: an admitted request goes straight to the worker-thread
+pool.  An identical payload already in flight *coalesces*: it joins
+that compute (through :func:`asyncio.shield`, so its own deadline
+cannot cancel its twin's) and gets the same outcome.  Per-request
 deadlines convert to structured ``deadline`` error responses -- a
 slow request can never hang its connection.  With ``group_jobs >= 2``
-each group fans out over a *process* pool whose death is contained
-(``broken-pool`` failures, pool rebuilt, survivors replayed) -- one
-poisoned request cannot take down its batch window.  ``close()``
-drains: queued and in-flight requests get their terminal response
-before the listener and pools go away.
+each compute runs in a *process* pool whose death is contained
+(``broken-pool`` failure, pool rebuilt, task replayed) -- a poisoned
+request cannot take the server down.  ``close()`` drains: in-flight
+requests get their terminal response before the listener and pools
+go away.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ import asyncio
 import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from repro.exec.cache import ResultCache, code_version, stable_digest
 from repro.exec.runner import ExperimentRunner, TaskSpec
@@ -80,7 +79,6 @@ class ServeSettings:
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 2
-    batch_window_ms: float = 5.0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     cache_dir: str | None = None
     """Response-cache directory; ``None`` uses a private temporary
@@ -106,28 +104,22 @@ class ServeSettings:
     breaker_cooldown: int = 4
     """Degraded requests served per open period before a probe."""
     group_jobs: int = 1
-    """``ExperimentRunner`` jobs per batch group; ``1`` runs inline
-    (serial, no pool), ``>= 2`` fans out over worker processes whose
-    crashes are contained and healed."""
+    """``ExperimentRunner`` jobs per compute; ``1`` runs inline in the
+    worker thread, ``>= 2`` runs in a worker process whose crash is
+    contained and healed."""
     group_retries: int = 0
-    """Runner-level retries inside one group (pool self-healing
-    replays broken-pool survivors without a serve round trip)."""
+    """Runner-level retries inside one compute (pool self-healing
+    replays a broken-pool task without a serve round trip)."""
     resilience_seed: int = DEFAULT_RESILIENCE_SEED
     """Root seed of the deterministic retry jitter."""
     allow_chaos: bool = False
     """Accept ``fail_marker`` chaos requests (worker suicide hooks);
     requires ``group_jobs >= 2`` so the kill hits a pool process, not
     the server."""
-    window_s: float = 60.0
-    """Horizon of the rolling rate window in ``health``."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
         if self.max_frame_bytes < 1024:
             raise ValueError(
                 f"max_frame_bytes must be >= 1024, got {self.max_frame_bytes}"
@@ -169,11 +161,7 @@ class ServeSettings:
         if self.allow_chaos and self.group_jobs < 2:
             raise ValueError(
                 "allow_chaos requires group_jobs >= 2: a fail_marker kill "
-                "in an inline (jobs=1) group would take the server down"
-            )
-        if self.window_s <= 0:
-            raise ValueError(
-                f"window_s must be positive, got {self.window_s}"
+                "in an inline (jobs=1) compute would take the server down"
             )
 
 
@@ -182,7 +170,10 @@ class ServeStats:
     """Cumulative counters exposed through ``health`` responses.
 
     Lifetime totals; the last-N-seconds view lives in the ``window``
-    block of the health report (:class:`RollingWindow`)."""
+    block of the health report (:class:`RollingWindow`).  ``batches``
+    counts computes dispatched to the worker pool (cache hits
+    included); ``coalesced`` counts requests that joined an identical
+    compute already in flight instead."""
 
     served: int = 0
     errors: int = 0
@@ -200,18 +191,6 @@ class ServeStats:
     last_blame: dict | None = None
 
 
-@dataclass
-class _Pending:
-    """One batchable request waiting for its compute.
-
-    The future resolves to ``("ok", value, cached, seconds)`` or
-    ``("fail", kind, text)`` -- never an exception for a *task-level*
-    failure, so the dispatch side can classify retryability."""
-
-    request: ImageRequest | ProfileRequest
-    future: asyncio.Future = field(default_factory=asyncio.Future)
-
-
 class ImageService:
     """Long-running asyncio server over the length-prefixed protocol."""
 
@@ -219,11 +198,11 @@ class ImageService:
         self.settings = settings or ServeSettings()
         self.stats = ServeStats()
         self._server: asyncio.AbstractServer | None = None
-        self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
-        self._batcher: asyncio.Task | None = None
-        self._group_tasks: set[asyncio.Task] = set()
+        # Payload digest -> the compute running for it (coalescing).
+        self._inflight: dict[str, asyncio.Task] = {}
         self._dispatch_tasks: set[asyncio.Task] = set()
-        self._writers: set = set()
+        # Open connection -> its handler task.
+        self._clients: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=self.settings.workers,
             thread_name_prefix="repro-serve",
@@ -240,7 +219,7 @@ class ImageService:
             self._cache = ResultCache(self._tmpdir.name)
         self._admission = AdmissionController(
             budget=self.settings.max_inflight,
-            retry_after_ms=max(self.settings.batch_window_ms, 1.0) * 4,
+            retry_after_ms=20.0,
         )
         self._retry = RetryPolicy(
             max_retries=self.settings.max_retries,
@@ -252,8 +231,7 @@ class ImageService:
             failures=self.settings.breaker_failures,
             cooldown=self.settings.breaker_cooldown,
         )
-        self._window = RollingWindow(horizon_s=self.settings.window_s)
-        self._connections = 0
+        self._window = RollingWindow()
         self._started = time.monotonic()
         self._shutdown = asyncio.Event()
         self._closing = False
@@ -272,7 +250,6 @@ class ImageService:
             self._on_client, self.settings.host, self.settings.port
         )
         self._started = time.monotonic()
-        self._batcher = asyncio.create_task(self._batch_loop())
 
     async def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` request (or :meth:`close`)."""
@@ -284,42 +261,26 @@ class ImageService:
         terminal response.
 
         Order matters: mark closing (admission rejects new work with a
-        structured "draining" answer), stop listening, stop the
-        batcher, flush whatever it left on the queue into groups, then
-        settle dispatch/group tasks to quiescence -- a draining retry
-        re-enters through :meth:`_enqueue`, which runs it as its own
-        group once the batcher is gone, so no future is ever orphaned.
-        Only then close lingering idle connections (their handlers are
-        parked in ``read_frame``) and the pools.
+        structured "draining" answer), stop listening, then settle
+        request and compute tasks to quiescence -- including computes
+        whose waiters all hit their deadline, so none is left pending
+        on the loop.  Only then close lingering idle connections and
+        the pools.
         """
         self._closing = True
         self._shutdown.set()
         if self._server is not None:
             self._server.close()
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
-        while True:
-            leftovers = []
-            while not self._queue.empty():
-                leftovers.append(self._queue.get_nowait())
-            for group in self._group(leftovers):
-                self._spawn_group(group)
-            tasks = [
-                t
-                for t in (*self._dispatch_tasks, *self._group_tasks)
-                if not t.done()
-            ]
-            if not leftovers and not tasks:
-                break
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        for writer in list(self._writers):
+        while tasks := [*self._dispatch_tasks, *self._inflight.values()]:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        for writer in list(self._clients):
             writer.close()
+        if self._clients:
+            # A handler parked in read_frame sees EOF once its transport
+            # has flushed and exits; one the loop's teardown cancels
+            # instead logs a traceback.  The wait is bounded because a
+            # client that stopped reading never lets its transport flush.
+            await asyncio.wait(list(self._clients.values()), timeout=5.0)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -331,8 +292,7 @@ class ImageService:
     # -- connection handling ---------------------------------------------
 
     async def _on_client(self, reader, writer) -> None:
-        self._connections += 1
-        self._writers.add(writer)
+        self._clients[writer] = asyncio.current_task()
         lock = asyncio.Lock()
         conn_tasks: set[asyncio.Task] = set()
 
@@ -446,8 +406,7 @@ class ImageService:
             # the shutdown contract: one terminal response per request.
             if conn_tasks:
                 await asyncio.gather(*conn_tasks, return_exceptions=True)
-            self._connections -= 1
-            self._writers.discard(writer)
+            self._clients.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -460,7 +419,7 @@ class ImageService:
             if isinstance(request, ImageRequest) and request.stream:
                 await self._run_streaming(request, send)
             else:
-                await self._run_batched(request, send)
+                await self._run_joinable(request, send)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -497,15 +456,6 @@ class ImageService:
         deadline_ms = self._effective_deadline_ms(request)
         return None if deadline_ms is None else deadline_ms / 1e3
 
-    async def _enqueue(self, pending: _Pending) -> None:
-        """Hand a request to the batcher -- or, once the batcher is
-        gone (draining close), run it as its own group so its future
-        still resolves."""
-        if self._batcher is None:
-            self._spawn_group([pending])
-        else:
-            await self._queue.put(pending)
-
     def _retry_delay_s(
         self,
         retryable: bool,
@@ -532,7 +482,9 @@ class ImageService:
         if spec is not None and verdict in ("pass", "probe"):
             self._breaker.record(spec, ok)
 
-    async def _run_batched(self, request, send) -> None:
+    async def _run_joinable(self, request, send) -> None:
+        """A non-streamed work request: one compute, shared with any
+        identical request in flight, behind the breaker and retries."""
         t0 = time.perf_counter()
         deadline = self._deadline_of(request)
         spec = request.backend if isinstance(request, ProfileRequest) else None
@@ -546,16 +498,17 @@ class ImageService:
                 degraded = True
                 self.stats.degraded += 1
                 self._window.record("degraded")
-        retry_key = stable_digest(effective.payload())
+        payload = effective.payload()
+        digest = stable_digest(payload)
         retries = 0
         while True:
-            pending = _Pending(request=effective)
-            await self._enqueue(pending)
             timeout = None
             if deadline is not None:
                 timeout = max(deadline - (time.perf_counter() - t0), 0.0)
             try:
-                outcome = await asyncio.wait_for(pending.future, timeout=timeout)
+                outcome = await asyncio.wait_for(
+                    self._join_or_start(payload, digest), timeout=timeout
+                )
             except asyncio.TimeoutError:
                 self._breaker_record(spec, verdict, ok=False)
                 self._mark_error()
@@ -571,8 +524,11 @@ class ImageService:
                 await send(response)
                 return
             except Exception as exc:  # structured, never a connection drop
+                self._breaker_record(spec, verdict, ok=False)
                 self._mark_error()
-                await send(error_response(request.id, "internal", str(exc)))
+                response = error_response(request.id, "internal", str(exc))
+                response["retries"] = retries
+                await send(response)
                 return
             if outcome[0] == "ok":
                 _, value, cached, seconds = outcome
@@ -601,7 +557,7 @@ class ImageService:
                 # the diagnosis structured.
                 retryable = err.get("code") in CONTAINED_CODES
                 delay = self._retry_delay_s(
-                    retryable, retries, retry_key, deadline, t0
+                    retryable, retries, digest, deadline, t0
                 )
                 if delay is not None:
                     retries += 1
@@ -618,7 +574,7 @@ class ImageService:
             # heals and the work is uncached), timeout, or task error.
             _, fkind, ftext = outcome
             delay = self._retry_delay_s(
-                fkind == "broken-pool", retries, retry_key, deadline, t0
+                fkind == "broken-pool", retries, digest, deadline, t0
             )
             if delay is not None:
                 retries += 1
@@ -723,91 +679,48 @@ class ImageService:
         if await send(response):
             self._mark_served()
 
-    # -- batching ---------------------------------------------------------
+    # -- computes ---------------------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        """Drain the queue, gather a window, dispatch groups."""
-        loop = asyncio.get_running_loop()
-        window = self.settings.batch_window_ms / 1e3
-        while True:
-            batch = [await self._queue.get()]
-            deadline = loop.time() + window
-            while True:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            for group in self._group(batch):
-                self._spawn_group(group)
+    async def _join_or_start(self, payload: dict, digest: str) -> tuple:
+        """The outcome of ``payload``'s compute: the one already in
+        flight for an identical payload, else a fresh one.
 
-    def _spawn_group(self, group: list[_Pending]) -> None:
-        task = asyncio.create_task(self._run_group(group))
-        self._group_tasks.add(task)
-        task.add_done_callback(self._group_tasks.discard)
-
-    @staticmethod
-    def _group(batch: list[_Pending]) -> list[list[_Pending]]:
-        """Split a window's requests into per-backend-compatible groups.
-
-        Image requests batch together; profile requests batch per
-        backend spec (they share a machine build and, on the event
-        backend, interleave poorly with host-numpy work).
+        Resolves to ``("ok", value, cached, seconds)`` or ``("fail",
+        kind, text)`` -- never an exception for a *task-level* failure,
+        so the caller can classify retryability.  Every waiter goes
+        through :func:`asyncio.shield`: a deadline cancels the wait,
+        never the compute other requests share.
         """
-        groups: dict[tuple, list[_Pending]] = {}
-        for pending in batch:
-            req = pending.request
-            if isinstance(req, ProfileRequest):
-                key = ("profile", req.backend)
-            else:
-                key = ("image",)
-            groups.setdefault(key, []).append(pending)
-        return list(groups.values())
+        compute = self._inflight.get(digest)
+        if compute is not None:
+            self.stats.coalesced += 1
+        else:
+            compute = asyncio.create_task(self._compute(payload, digest))
+            self._inflight[digest] = compute
+        return await asyncio.shield(compute)
 
-    async def _run_group(self, group: list[_Pending]) -> None:
+    async def _compute(self, payload: dict, digest: str) -> tuple:
+        """Run one payload on the worker-thread pool; its in-flight
+        entry lives exactly as long as the compute."""
         loop = asyncio.get_running_loop()
         self.stats.batches += 1
-        # Coalesce identical payloads: one compute, fanned out to all.
-        unique: dict[str, list[_Pending]] = {}
-        for pending in group:
-            unique.setdefault(
-                stable_digest(pending.request.payload()), []
-            ).append(pending)
-        self.stats.coalesced += len(group) - len(unique)
-        order = list(unique.items())
         try:
-            outcomes, rebuilds = await loop.run_in_executor(
+            outcome, rebuilds = await loop.run_in_executor(
                 self._pool,
-                _execute_group,
-                [waiters[0].request.payload() for _, waiters in order],
-                [digest for digest, _ in order],
+                _execute,
+                payload,
+                digest,
                 self._cache,
                 self.settings.group_jobs,
                 self.settings.group_retries,
             )
-        except Exception as exc:
-            for _, waiters in order:
-                for pending in waiters:
-                    if not pending.future.done():
-                        pending.future.set_exception(exc)
-            return
+        finally:
+            del self._inflight[digest]
         if rebuilds:
             self.stats.pool_rebuilds += rebuilds
             for _ in range(rebuilds):
                 self._window.record("pool_rebuild")
-        for (_, waiters), outcome in zip(order, outcomes):
-            value, cached, seconds, fkind, ftext = outcome
-            for pending in waiters:
-                if pending.future.done():
-                    continue  # its client already timed out
-                if ftext is not None:
-                    pending.future.set_result(("fail", fkind, ftext))
-                else:
-                    pending.future.set_result(("ok", value, cached, seconds))
+        return outcome
 
     # -- health ----------------------------------------------------------
 
@@ -822,7 +735,7 @@ class ImageService:
             "protocol": protocol.PROTOCOL,
             "code_version": code_version(),
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "connections": self._connections,
+            "connections": len(self._clients),
             "served": s.served,
             "errors": s.errors,
             "batches": s.batches,
@@ -853,44 +766,34 @@ class ImageService:
         }
 
 
-def _execute_group(
-    payloads: list[dict],
-    digests: list[str],
+def _execute(
+    payload: dict,
+    digest: str,
     cache: ResultCache | None,
     jobs: int = 1,
     retries: int = 0,
-) -> tuple[list[tuple[Any, bool, float, str | None, str | None]], int]:
-    """Run one compatible group through an :class:`ExperimentRunner`.
+) -> tuple[tuple, int]:
+    """Run one payload through an :class:`ExperimentRunner`.
 
-    Runs in a worker thread.  Returns ``(outcomes, pool_rebuilds)``
-    where each outcome is ``(value, cached, seconds, failure_kind,
-    failure_text)`` per payload, in order -- ``seconds`` is the task's
-    compute time (0 on a cache hit); a failure is the formatted
-    :class:`~repro.exec.runner.TaskFailure` text plus its kind (the
-    dispatch side retries ``broken-pool``), never an exception, so one
-    bad request cannot poison its batch-mates.  With ``jobs >= 2`` the
-    group fans out over a process pool; a worker death is contained by
-    the runner (pool rebuilt, survivors replayed up to ``retries``
-    times) and reported through ``pool_rebuilds``.
+    Runs in a worker thread.  Returns ``(outcome, pool_rebuilds)``
+    where the outcome is ``("ok", value, cached, seconds)`` --
+    ``seconds`` is the task's compute time (0 on a cache hit) -- or
+    ``("fail", kind, text)`` with the formatted
+    :class:`~repro.exec.runner.TaskFailure` text and its kind (the
+    dispatch side retries ``broken-pool``), never an exception.  With
+    ``jobs >= 2`` the task runs in a process pool; a worker death is
+    contained by the runner (pool rebuilt, task replayed up to
+    ``retries`` times) and reported through ``pool_rebuilds``.
     """
-    tasks = []
-    for payload, digest in zip(payloads, digests):
-        fn = (
-            workers.profile_kernel
-            if payload.get("kind") == "profile"
-            else workers.form_image
-        )
-        tasks.append(
-            TaskSpec(key=f"serve/{payload.get('kind')}/{digest}", fn=fn, args=(payload,))
-        )
+    kind = payload.get("kind")
+    fn = workers.profile_kernel if kind == "profile" else workers.form_image
     runner = ExperimentRunner(jobs=jobs, retries=retries, cache=cache)
-    results = runner.run(tasks, strict=False)
-    out: list[tuple[Any, bool, float, str | None, str | None]] = []
-    for res in results:
-        if res.ok:
-            out.append((res.value, res.cached, res.seconds, None, None))
-        else:
-            out.append(
-                (None, False, 0.0, res.failure.kind, res.failure.format())
-            )
-    return out, runner.stats.pool_rebuilds
+    [res] = runner.run(
+        [TaskSpec(key=f"serve/{kind}/{digest}", fn=fn, args=(payload,))],
+        strict=False,
+    )
+    if res.ok:
+        outcome = ("ok", res.value, res.cached, res.seconds)
+    else:
+        outcome = ("fail", res.failure.kind, res.failure.format())
+    return outcome, runner.stats.pool_rebuilds

@@ -156,8 +156,8 @@ def profile_kernel(payload: dict) -> dict:
     :class:`~repro.faults.report.StallError` with its blame report, a
     deadlock -- come back as a *structured value* (an ``"error"`` key)
     rather than an exception, so the serving layer can answer with the
-    diagnosis and count it in the health report instead of tearing the
-    batch down.
+    diagnosis and count it in the health report instead of failing
+    the request with an internal error.
     """
     from repro.machine.backends import get_machine
 

@@ -33,7 +33,7 @@ set is identical across processes and ``--jobs`` levels.
 ``python -m repro verify --chaos-serve N`` extends the contract to the
 serving tier (:func:`run_chaos_serve_case`): each case boots a real
 :class:`~repro.serve.service.ImageService` (real sockets, process-pool
-groups, chaos hooks armed) and drives a scripted adversarial scenario
+computes, chaos hooks armed) and drives a scripted adversarial scenario
 -- injected stalls on ``event:*`` specs, SIGKILLed workers via
 ``fail_marker``, a guaranteed deadline miss, an admission-control
 burst, and an in-flight request at shutdown.  The gate asserts the
@@ -432,8 +432,9 @@ def _serve_record(frame: dict, minimal: bool = False) -> dict:
     encodes a *decision* -- outcome type/code, cache/degraded flags,
     retry count, result bytes (sha256) and model outputs (cycles) --
     is kept, so two same-seed executions must match byte-for-byte.
-    ``minimal`` drops the cache flag for requests whose batching
-    window (and hence coalesce-vs-cache-hit) is timing-dependent.
+    ``minimal`` drops the cache flag for requests whose twin may still
+    be in flight or already cached (coalesce-vs-cache-hit is
+    timing-dependent).
     """
     rec: dict = {
         "id": frame.get("id"),
@@ -514,7 +515,6 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
     settings = ServeSettings(
         port=0,
         workers=2,
-        batch_window_ms=1.0,
         cache_dir=os.path.join(tmpdir, "cache"),
         max_inflight=8,
         max_connection_inflight=2,
@@ -563,7 +563,8 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
         records.append(_serve_record(await main.request({**image, "id": "a0"})))
         records.append(_serve_record(await main.request({**image, "id": "a1"})))
 
-        # B. guaranteed deadline miss (budget far below the batch window).
+        # B. guaranteed deadline miss (a 1 us budget expires before any
+        # compute can answer).
         records.append(
             _serve_record(
                 await main.request(
@@ -672,7 +673,8 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
         await drainer.send(
             {**image, "id": "d0", "noise_seed": img_seed + 3}
         )
-        await asyncio.sleep(0.05)  # let the server admit d0
+        while service._admission.inflight == 0:  # until d0 is admitted
+            await asyncio.sleep(0.001)
         shut = await main.request({"id": "sd", "kind": "shutdown"})
         drained_frame = await drainer.read_terminal()
         from repro.serve.protocol import read_frame

@@ -44,7 +44,7 @@ class TestRunLoad:
     def _run(self, **load_kwargs):
         async def main():
             service = ImageService(
-                ServeSettings(host="127.0.0.1", port=0, batch_window_ms=1.0)
+                ServeSettings(host="127.0.0.1", port=0)
             )
             await service.start()
             try:
@@ -87,7 +87,7 @@ class TestRunLoad:
     def test_shutdown_after_stops_the_server(self):
         async def main():
             service = ImageService(
-                ServeSettings(host="127.0.0.1", port=0, batch_window_ms=1.0)
+                ServeSettings(host="127.0.0.1", port=0)
             )
             await service.start()
             waiter = asyncio.create_task(service.serve_until_shutdown())
@@ -126,8 +126,7 @@ class TestUnreadableReplies:
         async def main():
             service = ImageService(
                 ServeSettings(
-                    host="127.0.0.1", port=0, batch_window_ms=1.0,
-                    max_frame_bytes=4 << 20,
+                    host="127.0.0.1", port=0, max_frame_bytes=4 << 20,
                 )
             )
             await service.start()

@@ -2,21 +2,64 @@
 
 Every test spins up an :class:`ImageService` on an ephemeral port
 inside one ``asyncio.run`` and talks the real wire protocol to it, so
-framing, batching, caching, streaming and containment are exercised
-exactly as ``repro serve`` runs them.
+framing, scheduling, caching, streaming and containment are exercised
+exactly as ``repro serve`` runs them.  Tests that need a request to
+stay in flight hold the image worker on an event (:func:`held`)
+instead of leaning on wall-clock timing.
 """
 
 import asyncio
 import json
 import pickle
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from repro.serve import ImageService, ServeSettings, decode_array, encode_frame, read_frame
+from repro.serve import service as service_module
+from repro.serve import workers
 
-FAST = dict(host="127.0.0.1", port=0, workers=2, batch_window_ms=1.0)
+FAST = dict(host="127.0.0.1", port=0, workers=2)
+
+
+class HeldWorker:
+    """``form_image`` that counts its calls and blocks until released."""
+
+    def __init__(self, form_image):
+        self._form_image = form_image
+        self._lock = threading.Lock()
+        self._gate = threading.Event()
+        self.calls = 0
+
+    def __call__(self, payload):
+        with self._lock:
+            self.calls += 1
+        # Bounded, so a test that fails before releasing still closes.
+        self._gate.wait(timeout=60)
+        return self._form_image(payload)
+
+    def release(self):
+        self._gate.set()
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """Image computes stay in flight until the test calls ``release()``."""
+    hold = HeldWorker(workers.form_image)
+    monkeypatch.setattr(workers, "form_image", hold)
+    yield hold
+    hold.release()
+
+
+async def until(predicate):
+    """Yield to the event loop until ``predicate()`` holds."""
+    for _ in range(10_000):
+        if predicate():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("condition never held")
 
 
 def service_test(coro_fn, **settings):
@@ -145,18 +188,58 @@ class TestImagePath:
         assert frame["cached"] is False
         assert health["cache"] is None
 
-    def test_identical_requests_in_one_window_coalesce(self):
+    def test_identical_request_joins_the_compute_in_flight(self, held):
         async def scenario(service):
-            async def client(tag):
-                return (await one_shot(service, {**IMG, "id": tag}))[0]
+            first = asyncio.create_task(one_shot(service, {**IMG, "id": "a"}))
+            await until(lambda: held.calls == 1)
+            second = asyncio.create_task(one_shot(service, {**IMG, "id": "b"}))
+            await until(lambda: service.stats.coalesced == 1)
+            held.release()
+            (a, _), (b, _) = await asyncio.gather(first, second)
+            return a, b, service.stats
 
-            frames = await asyncio.gather(client("a"), client("b"), client("c"))
-            return frames, service.stats.coalesced
+        a, b, stats = service_test(scenario)
+        assert held.calls == 1
+        assert stats.coalesced == 1
+        assert stats.batches == 1
+        assert a["image"]["sha256"] == b["image"]["sha256"]
+        # The joiner gets its leader's outcome, timings included.
+        assert a["cached"] is False and b["cached"] is False
+        assert a["compute_ms"] == b["compute_ms"]
 
-        frames, coalesced = service_test(scenario, batch_window_ms=200.0)
-        shas = {f["image"]["sha256"] for f in frames}
-        assert len(shas) == 1
-        assert coalesced >= 1
+    def test_joiner_deadline_does_not_cancel_the_shared_compute(self, held):
+        async def scenario(service):
+            leader = asyncio.create_task(
+                one_shot(service, {**IMG, "id": "lead"})
+            )
+            await until(lambda: held.calls == 1)
+            joiner, _ = await asyncio.wait_for(
+                one_shot(service, {**IMG, "id": "join", "deadline_ms": 50}),
+                10.0,
+            )
+            held.release()
+            led, _ = await asyncio.wait_for(leader, 10.0)
+            return joiner, led, service.stats.coalesced
+
+        joiner, led, coalesced = service_test(scenario)
+        assert coalesced == 1
+        assert joiner["code"] == "deadline"
+        assert joiner["retries"] == 0
+        assert led["type"] == "result"
+        assert held.calls == 1
+
+    def test_finished_compute_leaves_the_in_flight_table(self):
+        async def scenario(service):
+            first, _ = await one_shot(service, {**IMG, "id": "a"})
+            inflight = dict(service._inflight)
+            second, _ = await one_shot(service, {**IMG, "id": "b"})
+            return first, inflight, second, service.stats.coalesced
+
+        first, inflight, second, coalesced = service_test(scenario)
+        assert inflight == {}
+        assert first["cached"] is False
+        assert second["cached"] is True  # a cache hit, not a join
+        assert coalesced == 0
 
     def test_distinct_seeds_do_not_coalesce(self):
         async def scenario(service):
@@ -335,29 +418,28 @@ class TestContainment:
 
 
 class TestDeadlines:
-    def test_deadline_yields_structured_timeout(self):
+    def test_deadline_yields_structured_timeout(self, held):
         async def scenario(service):
             frame, _ = await one_shot(
                 service, {**IMG, "id": "slow", "deadline_ms": 1}
             )
+            held.release()
             health, _ = await one_shot(service, {"kind": "health", "id": "h"})
             return frame, health
 
-        # A 200 ms batch window guarantees a 1 ms deadline fires first.
-        frame, health = service_test(scenario, batch_window_ms=200.0)
+        frame, health = service_test(scenario)
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
         assert frame["id"] == "slow"
         assert health["deadline_misses"] >= 1
 
-    def test_default_deadline_from_settings(self):
+    def test_default_deadline_from_settings(self, held):
         async def scenario(service):
             frame, _ = await one_shot(service, {**IMG, "id": "d"})
+            held.release()
             return frame
 
-        frame = service_test(
-            scenario, batch_window_ms=200.0, default_deadline_ms=1.0
-        )
+        frame = service_test(scenario, default_deadline_ms=1.0)
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
 
@@ -448,11 +530,28 @@ class TestLifecycle:
         frame = asyncio.run(main())
         assert frame["type"] == "ok"
 
+    def test_close_lets_idle_connection_handlers_exit(self):
+        # A handler still parked in read_frame when asyncio.run tears
+        # the loop down is cancelled, and asyncio logs a traceback.
+        async def main():
+            service = ImageService(ServeSettings(**FAST))
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            await send_recv(reader, writer, {"kind": "health", "id": "h"})
+            handlers = list(service._clients.values())
+            await service.close()
+            writer.close()
+            return handlers
+
+        handlers = asyncio.run(main())
+        assert len(handlers) == 1
+        assert all(t.done() and not t.cancelled() for t in handlers)
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             ServeSettings(workers=0)
-        with pytest.raises(ValueError):
-            ServeSettings(batch_window_ms=-1)
         with pytest.raises(ValueError):
             ServeSettings(max_frame_bytes=16)
         with pytest.raises(ValueError):
@@ -475,18 +574,19 @@ STALL_PROFILE = {
 
 
 class TestResilience:
-    def test_budget_exhaustion_is_structured_overloaded(self):
+    def test_budget_exhaustion_is_structured_overloaded(self, held):
         async def scenario(service):
             r1, w1 = await asyncio.open_connection("127.0.0.1", service.port)
             r2, w2 = await asyncio.open_connection("127.0.0.1", service.port)
             try:
-                # First request parks in the long batch window holding
-                # the only admission slot ...
+                # First request is held in its compute, holding the
+                # only admission slot ...
                 w1.write(encode_frame({**IMG, "id": "slow"}))
                 await w1.drain()
-                await asyncio.sleep(0.05)
+                await until(lambda: service._admission.inflight == 1)
                 # ... so the second is rejected immediately.
                 rejected, _ = await send_recv(r2, w2, {**IMG, "id": "rej"})
+                held.release()
                 admitted = await read_until_terminal(r1)
                 health, _ = await one_shot(service, {"kind": "health", "id": "h"})
                 return rejected, admitted, health
@@ -495,9 +595,7 @@ class TestResilience:
                     w.close()
                     await w.wait_closed()
 
-        rejected, admitted, health = service_test(
-            scenario, max_inflight=1, batch_window_ms=300.0
-        )
+        rejected, admitted, health = service_test(scenario, max_inflight=1)
         assert rejected["type"] == "error"
         assert rejected["code"] == "overloaded"
         assert rejected["retry_after_ms"] > 0
@@ -505,49 +603,24 @@ class TestResilience:
         assert health["resilience"]["overloaded"] == 1
         assert health["resilience"]["admission"]["rejected"] == 1
 
-    def test_per_connection_cap_rejects_pipelined_excess(self):
-        async def scenario(service):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.port
-            )
-            try:
-                for rid in ("p0", "p1"):
-                    writer.write(encode_frame({**IMG, "id": rid}))
-                await writer.drain()
-                frames = [await read_until_terminal(reader) for _ in range(2)]
-                return {f["id"]: f for f in frames}
-            finally:
-                writer.close()
-                await writer.wait_closed()
-
+    def test_per_connection_cap_rejects_pipelined_excess(self, held):
         by_id = service_test(
-            scenario, max_connection_inflight=1, batch_window_ms=300.0
+            pipelined_pair(held), max_connection_inflight=1
         )
         assert by_id["p0"]["type"] == "result"
         assert by_id["p1"]["code"] == "overloaded"
 
-    def test_cap_rejection_hint_routes_through_admission(self):
+    def test_cap_rejection_hint_routes_through_admission(self, held):
         # Regression: the connection-cap (and drain) rejections must
         # carry the controller's pressure-scaled retry_hint(), not a
         # static constant snapshotted at boot.
+        pair = pipelined_pair(held)
+
         async def scenario(service):
             service._admission.retry_hint = lambda: 777.25
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.port
-            )
-            try:
-                for rid in ("p0", "p1"):
-                    writer.write(encode_frame({**IMG, "id": rid}))
-                await writer.drain()
-                frames = [await read_until_terminal(reader) for _ in range(2)]
-                return {f["id"]: f for f in frames}
-            finally:
-                writer.close()
-                await writer.wait_closed()
+            return await pair(service)
 
-        by_id = service_test(
-            scenario, max_connection_inflight=1, batch_window_ms=300.0
-        )
+        by_id = service_test(scenario, max_connection_inflight=1)
         assert by_id["p1"]["code"] == "overloaded"
         assert by_id["p1"]["retry_after_ms"] == 777.25
 
@@ -670,6 +743,30 @@ class TestResilience:
             "breaker",
         }
 
+    def test_executor_exception_is_a_structured_internal_error(
+        self, monkeypatch
+    ):
+        def explode(*args):
+            raise RuntimeError("executor exploded")
+
+        monkeypatch.setattr(service_module, "_execute", explode)
+
+        async def scenario(service):
+            frame, _ = await one_shot(
+                service, {"kind": "profile", "id": "x", "backend": "event:e16"}
+            )
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frame, health
+
+        frame, health = service_test(
+            scenario, breaker_window=4, breaker_failures=1
+        )
+        assert frame["type"] == "error"
+        assert frame["code"] == "internal"
+        assert frame["retries"] == 0
+        # The failure fed the breaker like every other terminal.
+        assert health["resilience"]["breaker"]["trips"] == 1
+
     def test_streaming_deadline_message_uses_effective_deadline(self):
         async def scenario(service):
             frame, _ = await one_shot(
@@ -683,6 +780,29 @@ class TestResilience:
         assert frame["code"] == "deadline"
         assert "0.001 ms" in frame["detail"]
         assert "None" not in frame["detail"]
+
+
+def pipelined_pair(held):
+    """Scenario: pipeline ``p0``, ``p1`` on one connection; ``p1`` is
+    answered while ``p0`` is held in its compute.  Returns frames by id."""
+
+    async def scenario(service):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        try:
+            for rid in ("p0", "p1"):
+                writer.write(encode_frame({**IMG, "id": rid}))
+            await writer.drain()
+            first = await read_until_terminal(reader)
+            held.release()
+            second = await read_until_terminal(reader)
+            return {f["id"]: f for f in (first, second)}
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    return scenario
 
 
 async def read_until_terminal(reader):
